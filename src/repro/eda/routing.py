@@ -325,10 +325,13 @@ class GlobalRouter:
         """
         nx, ny = self.nx, self.ny
         penalty = self.overflow_penalty
-        dh = [[0.0] * max(1, nx - 1) for _ in range(ny)]
-        dvc = [[0.0] * max(1, ny - 1) for _ in range(nx)]  # column-major
-        hot_h = [0] * ny
-        hot_v = [0] * nx
+        n_h = max(1, nx - 1)  # edges per row
+        n_v = max(1, ny - 1)  # edges per column
+        dh = [[0.0] * n_h for _ in range(ny)]
+        dvc = [[0.0] * n_v for _ in range(nx)]  # column-major
+        # below one track every empty edge is already hot (0 + 1 > cap)
+        hot_h = [n_h if 1.0 > cap_h else 0] * ny
+        hot_v = [n_v if 1.0 > cap_v else 0] * nx
 
         def run_cost_h(j: int, lo: int, hi: int) -> float:
             if lo == hi or not hot_h[j]:

@@ -110,7 +110,7 @@ def test_annealer_triple_equivalence(design, seed, weighted):
 # ----------------------------------------------------------- global route
 @pytest.mark.parametrize("design", sorted(SPECS))
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("tracks", (16.0, 6.0))
+@pytest.mark.parametrize("tracks", (16.0, 6.0, 0.5))
 def test_groute_triple_equivalence(design, seed, tracks):
     placement = _placed(design, seed)
     fast = GlobalRouter(tracks_per_um=tracks, vectorize=True).route(placement, seed=seed)
