@@ -12,7 +12,7 @@ test:
 # Determinism & parallel-safety static analysis (rule catalog:
 # docs/static-analysis.md).  --strict: any finding fails, including
 # warnings and stale suppressions.  --project enables the cross-file
-# rules (R009-R012) over the import/call graph; the content-hash cache
+# rules (R009, R010, R012) over the import/call graph; the content-hash cache
 # (.repro-lint-cache.json) makes warm re-runs near-instant.
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint --strict \

@@ -1,16 +1,20 @@
-"""Place & route kernel benchmark: annealer and global router, fast vs scalar.
+"""Place & route kernel benchmark: annealer and global router vs the
+frozen scalar references.
 
 PR 7 rewrote the two remaining per-object hot loops of the physical flow
-as incremental kernels behind the same ``vectorize=True`` switch the STA
-kernel uses:
+as incremental kernels; the historical loops survive only as the frozen
+equivalence oracles in ``tests/eda/placement_reference.py`` and
+``tests/eda/routing_reference.py``, which serve as the baseline here:
 
 - ``AnnealingRefiner``: per-move full rescans of every touched net were
   replaced by exclusion-bounding-box move pricing — each (net, pin) slot
   caches the bbox of *all other* pins, so pricing a swap is O(1) per net
   instead of O(fanout), and boxes are rebuilt only on accepted moves.
+  Baseline: ``ReferenceAnnealingRefiner``.
 - ``GlobalRouter``: the per-edge numpy-indexing cost/commit loops were
   replaced by a struct-of-rows kernel with incremental hot-edge counts,
   so congestion-free runs price in O(1) instead of O(run length).
+  Baseline: ``ReferenceGlobalRouter``.
 
 Workloads are chosen to exercise the asymptotics honestly:
 
@@ -18,7 +22,7 @@ Workloads are chosen to exercise the asymptotics honestly:
   locality-biased NAND cloud plus a handful of high-fanout control nets
   (reset / scan-enable style, fanout in the hundreds before buffering —
   the tail the synthesis generator's geometric fanout model truncates).
-  The scalar annealer rescans those nets on almost every move.
+  The reference annealer rescans those nets on almost every move.
 - The router workload is the largest corpus design (GPU shader profile)
   on a fine 64x64 gcell grid, where runs span many edges and congestion
   hot spots exercise the overflow path.
@@ -26,9 +30,12 @@ Workloads are chosen to exercise the asymptotics honestly:
 Checks (exit code 1 on failure):
 
 - annealer: refined positions, HPWL, and the evaluated cooling schedule
-  are **bit-identical** across kernels; >= 5x faster;
+  are **bit-identical** to the reference; >= 5x faster;
 - router: demand grids, wirelength, and congestion map are
-  **bit-identical** across kernels; >= 3x faster.
+  **bit-identical** to the reference; >= 3x faster.
+
+The JSON keeps the historical ``scalar_ms`` / ``vectorized_ms`` keys:
+``scalar_ms`` is the reference kernel's time.
 
 ``--json PATH`` merges machine-readable summaries into ``PATH`` under
 the ``"annealer"`` and ``"groute"`` keys (see ``make bench-trajectory``);
@@ -46,6 +53,7 @@ from __future__ import annotations
 import argparse
 import copy
 import gc
+import os
 import sys
 import time
 
@@ -55,11 +63,16 @@ from repro.bench.generators import design_profile
 from repro.eda.floorplan import make_floorplan
 from repro.eda.library import make_default_library
 from repro.eda.netlist import Netlist
-from repro.eda.placement import AnnealingRefiner, QuadraticPlacer
+from repro.eda.placement import AnnealingRefiner, AnnealSchedule, QuadraticPlacer
 from repro.eda.routing import GlobalRouter
 from repro.eda.synthesis import synthesize
 
 from vectorized_sta_benchmark import merge_json
+
+# the frozen references live in the test tree (repo root on sys.path)
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.eda.placement_reference import ReferenceAnnealingRefiner  # noqa: E402
+from tests.eda.routing_reference import ReferenceGlobalRouter  # noqa: E402
 
 N_GATES = 1600
 N_CONTROLS = 6
@@ -75,7 +88,7 @@ def build_anneal_placement(seed: int):
     Each gate combines a recent data output (short-reach, window-local)
     with one of ``N_CONTROLS`` control nets, so every control net fans
     out to ~``N_GATES / N_CONTROLS`` sinks — the pre-buffering fanout of
-    a reset or scan-enable net, which the scalar annealer rescans in
+    a reset or scan-enable net, which the reference annealer rescans in
     full on almost every move.
     """
     lib = make_default_library()
@@ -111,10 +124,21 @@ def build_route_placement(seed: int):
     return QuadraticPlacer().place(netlist, floorplan, seed=seed + 1)
 
 
-def time_anneal(placement, vectorize: bool, seed: int, repeats: int):
+def _schedule(refiner):
+    """The evaluated cooling schedule of either annealer."""
+    if isinstance(refiner, ReferenceAnnealingRefiner):
+        if not refiner.last_n_evaluated:
+            return None
+        return AnnealSchedule(refiner.last_first_temperature,
+                              refiner.last_last_temperature,
+                              refiner.last_n_evaluated)
+    return refiner.last_schedule
+
+
+def time_anneal(placement, reference: bool, seed: int, repeats: int):
     """Best-of-``repeats`` seconds for one ``refine`` on a fresh copy."""
-    refiner = AnnealingRefiner(moves_per_cell=MOVES_PER_CELL,
-                               vectorize=vectorize)
+    cls = ReferenceAnnealingRefiner if reference else AnnealingRefiner
+    refiner = cls(moves_per_cell=MOVES_PER_CELL)
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -127,14 +151,14 @@ def time_anneal(placement, vectorize: bool, seed: int, repeats: int):
             best = min(best, time.perf_counter() - t0)
         finally:
             gc.enable()
-        result = (scratch, hpwl, refiner.last_schedule)
+        result = (scratch, hpwl, _schedule(refiner))
     return best, result
 
 
-def time_route(placement, vectorize: bool, seed: int, repeats: int):
+def time_route(placement, reference: bool, seed: int, repeats: int):
     """Best-of-``repeats`` seconds for one global ``route`` call."""
-    router = GlobalRouter(nx=GROUTE_GRID, ny=GROUTE_GRID,
-                          tracks_per_um=GROUTE_TRACKS, vectorize=vectorize)
+    cls = ReferenceGlobalRouter if reference else GlobalRouter
+    router = cls(nx=GROUTE_GRID, ny=GROUTE_GRID, tracks_per_um=GROUTE_TRACKS)
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -149,31 +173,31 @@ def time_route(placement, vectorize: bool, seed: int, repeats: int):
     return best, result
 
 
-def anneal_identical(fast, scalar) -> bool:
+def anneal_identical(fast, ref) -> bool:
     (p_fast, h_fast, sched_fast) = fast
-    (p_scalar, h_scalar, sched_scalar) = scalar
-    if h_fast != h_scalar:
-        print("FAIL: annealer HPWL differs between kernels")
+    (p_ref, h_ref, sched_ref) = ref
+    if h_fast != h_ref:
+        print("FAIL: annealer HPWL differs from the reference")
         return False
-    if p_fast.positions != p_scalar.positions:
-        print("FAIL: annealer positions differ between kernels")
+    if p_fast.positions != p_ref.positions:
+        print("FAIL: annealer positions differ from the reference")
         return False
-    if sched_fast != sched_scalar:
-        print("FAIL: annealer cooling schedules differ between kernels")
+    if sched_fast != sched_ref:
+        print("FAIL: annealer cooling schedule differs from the reference")
         return False
     return True
 
 
-def route_identical(fast, scalar) -> bool:
-    if not (np.array_equal(fast.demand_h, scalar.demand_h)
-            and np.array_equal(fast.demand_v, scalar.demand_v)):
-        print("FAIL: router demand grids differ between kernels")
+def route_identical(fast, ref) -> bool:
+    if not (np.array_equal(fast.demand_h, ref.demand_h)
+            and np.array_equal(fast.demand_v, ref.demand_v)):
+        print("FAIL: router demand grids differ from the reference")
         return False
-    if fast.wirelength != scalar.wirelength:
-        print("FAIL: router wirelength differs between kernels")
+    if fast.wirelength != ref.wirelength:
+        print("FAIL: router wirelength differs from the reference")
         return False
-    if not np.array_equal(fast.congestion_map(), scalar.congestion_map()):
-        print("FAIL: router congestion maps differ between kernels")
+    if not np.array_equal(fast.congestion_map(), ref.congestion_map()):
+        print("FAIL: router congestion map differs from the reference")
         return False
     return True
 
@@ -184,9 +208,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repetitions (best-of)")
     parser.add_argument("--min-anneal-speedup", type=float, default=5.0,
-                        help="required annealer fast/scalar speedup")
+                        help="required annealer fast/reference speedup")
     parser.add_argument("--min-groute-speedup", type=float, default=3.0,
-                        help="required global-route fast/scalar speedup")
+                        help="required global-route fast/reference speedup")
     parser.add_argument("--smoke", action="store_true",
                         help="CI run: fewer repetitions, same assertions")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -202,19 +226,19 @@ def main(argv=None) -> int:
           f"{len(placement.netlist.nets)} nets, {N_CONTROLS} control nets "
           f"of fanout ~{N_GATES // N_CONTROLS}), "
           f"moves_per_cell={MOVES_PER_CELL}, best of {repeats}")
-    t_fast, fast = time_anneal(placement, True, args.seed + 2, repeats)
-    t_scalar, scalar = time_anneal(placement, False, args.seed + 2, repeats)
-    anneal_ok = anneal_identical(fast, scalar)
-    anneal_speedup = t_scalar / t_fast if t_fast > 0 else float("inf")
+    t_fast, fast = time_anneal(placement, False, args.seed + 2, repeats)
+    t_ref, ref = time_anneal(placement, True, args.seed + 2, repeats)
+    anneal_ok = anneal_identical(fast, ref)
+    anneal_speedup = t_ref / t_fast if t_fast > 0 else float("inf")
     if anneal_ok:
         print("bit-identical: positions, HPWL, and cooling schedule")
-    print(f"refine: scalar={t_scalar * 1e3:.1f} ms  "
+    print(f"refine: reference={t_ref * 1e3:.1f} ms  "
           f"fast={t_fast * 1e3:.1f} ms  -> {anneal_speedup:.1f}x")
     if args.json:
         merge_json(args.json, "annealer", {
             "design": "anneal_bench",
             "instances": n_insts,
-            "scalar_ms": round(t_scalar * 1e3, 4),
+            "scalar_ms": round(t_ref * 1e3, 4),
             "vectorized_ms": round(t_fast * 1e3, 4),
             "speedup": round(anneal_speedup, 2),
             "bit_identical": anneal_ok,
@@ -232,20 +256,20 @@ def main(argv=None) -> int:
     print(f"groute: gpu_shader ({n_insts} instances) on "
           f"{GROUTE_GRID}x{GROUTE_GRID} gcells at "
           f"{GROUTE_TRACKS:g} tracks/um, best of {repeats}")
-    t_fast, fast = time_route(placement, True, args.seed + 3, repeats)
-    t_scalar, scalar = time_route(placement, False, args.seed + 3, repeats)
-    route_ok = route_identical(fast, scalar)
-    route_speedup = t_scalar / t_fast if t_fast > 0 else float("inf")
+    t_fast, fast = time_route(placement, False, args.seed + 3, repeats)
+    t_ref, ref = time_route(placement, True, args.seed + 3, repeats)
+    route_ok = route_identical(fast, ref)
+    route_speedup = t_ref / t_fast if t_fast > 0 else float("inf")
     if route_ok:
         print("bit-identical: demand grids, wirelength, congestion map")
-    print(f"route: scalar={t_scalar * 1e3:.1f} ms  "
+    print(f"route: reference={t_ref * 1e3:.1f} ms  "
           f"fast={t_fast * 1e3:.1f} ms  -> {route_speedup:.1f}x  "
           f"(overflow={fast.overflow:.1f})")
     if args.json:
         merge_json(args.json, "groute", {
             "design": "gpu_shader",
             "instances": n_insts,
-            "scalar_ms": round(t_scalar * 1e3, 4),
+            "scalar_ms": round(t_ref * 1e3, 4),
             "vectorized_ms": round(t_fast * 1e3, 4),
             "speedup": round(route_speedup, 2),
             "bit_identical": route_ok,

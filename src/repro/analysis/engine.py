@@ -35,7 +35,7 @@ class LintConfig:
     fail_on: Severity = Severity.ERROR      # exit nonzero at/above this
     strict: bool = False                     # fail on ANY active finding
     project_root: Optional[str] = None       # repo root (docs/, README.md)
-    project: bool = False                    # whole-program mode (R009-R012)
+    project: bool = False                    # whole-program mode (R009, R010, R012)
     use_cache: bool = True                   # incremental cache (project mode)
     cache_path: Optional[str] = None         # default: <root>/.repro-lint-cache.json
 

@@ -17,7 +17,7 @@ whole-program pass.  The layer has three parts:
   private helper is guaranteed to hold because *every* in-project call
   site holds them) and ``init_only`` (helpers reachable only from
   ``__init__``, where pre-publication mutation is safe).  Cross-file
-  rules (R009-R012) implement :meth:`~repro.analysis.registry.Rule.check_context`
+  rules (R009, R010, R012) implement :meth:`~repro.analysis.registry.Rule.check_context`
   against this object.
 
 - **The incremental cache** (:class:`LintCache`): content-hash-keyed
@@ -67,7 +67,7 @@ from repro.analysis.suppressions import (
 #: bump when summaries, fixpoints or any rule's logic change shape —
 #: stale caches are then discarded wholesale instead of replaying
 #: findings the current pack would no longer produce
-ANALYSIS_CACHE_VERSION = 1
+ANALYSIS_CACHE_VERSION = 2
 
 #: executor-surface method names whose arguments cross the process
 #: boundary (kept in sync with rules/pickle_safety.py)
@@ -858,16 +858,6 @@ class ProjectContext:
                             "misses": self.cache.misses}
         return out
 
-    # --------------------------------------------------------- aux caching
-    def aux_get(self, key: str, sig: str):
-        if self.cache is None:
-            return None
-        return self.cache.aux_get(key, sig)
-
-    def aux_put(self, key: str, sig: str, value) -> None:
-        if self.cache is not None:
-            self.cache.aux_put(key, sig, value)
-
 
 def build_context(root: str, summaries: Dict[str, ModuleSummary],
                   cache: Optional["LintCache"] = None) -> ProjectContext:
@@ -1034,7 +1024,6 @@ class LintCache:
         self.hits = 0
         self.misses = 0
         self._files: Dict[str, dict] = {}
-        self._aux: Dict[str, dict] = {}
         self._dirty = False
         if self.enabled:
             self._load()
@@ -1049,11 +1038,8 @@ class LintCache:
                 data.get("signature") != self.signature:
             return
         files = data.get("files")
-        aux = data.get("aux")
         if isinstance(files, dict):
             self._files = files
-        if isinstance(aux, dict):
-            self._aux = aux
 
     # -------------------------------------------------------------- files
     def lookup(self, rel_path: str, sha: str) -> Optional[dict]:
@@ -1082,21 +1068,6 @@ class LintCache:
             del self._files[p]
             self._dirty = True
 
-    # ---------------------------------------------------------------- aux
-    def aux_get(self, key: str, sig: str):
-        if not self.enabled:
-            return None
-        entry = self._aux.get(key)
-        if entry is not None and entry.get("sig") == sig:
-            return entry.get("value")
-        return None
-
-    def aux_put(self, key: str, sig: str, value) -> None:
-        if not self.enabled:
-            return
-        self._aux[key] = {"sig": sig, "value": value}
-        self._dirty = True
-
     # --------------------------------------------------------------- save
     def save(self) -> None:
         if not (self.enabled and self._dirty):
@@ -1105,7 +1076,6 @@ class LintCache:
             "version": ANALYSIS_CACHE_VERSION,
             "signature": self.signature,
             "files": {k: self._files[k] for k in sorted(self._files)},
-            "aux": {k: self._aux[k] for k in sorted(self._aux)},
         }
         directory = os.path.dirname(self.path) or "."
         try:

@@ -793,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also print suppressed findings")
     lint.add_argument("--project", action="store_true",
                       help="whole-program mode: build the import/call graph "
-                           "once and enable the cross-file rules (R009-R012)")
+                           "once and enable the cross-file rules (R009, R010, R012)")
     lint.add_argument("--no-cache", action="store_true",
                       help="with --project: ignore and do not write the "
                            "incremental cache (.repro-lint-cache.json)")

@@ -3,10 +3,10 @@
 The historical :func:`go_with_the_winners` / :func:`independent_multistart`
 (paper Fig 6(a)) and :class:`AdaptiveMultistart` / :func:`random_multistart`
 (Fig 6(b)) loops, re-homed as engine plugins.  The annealing kernel
-``_anneal_steps`` and the consensus-start construction are frozen
-against drift by R011 (``tests/eda/search_reference.py``); rng streams
-match the pre-refactor code draw for draw, so the façades stay
-bit-identical.
+``_anneal_steps`` and the consensus-start construction are frozen in
+``tests/eda/search_reference.py``, and ``tests/dse/test_equivalence.py``
+holds the live kernels bit-identical to those copies; rng streams match
+the pre-refactor code draw for draw, so the façades stay bit-identical.
 """
 
 from __future__ import annotations

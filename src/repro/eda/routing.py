@@ -18,18 +18,16 @@ demand genuinely exceeds supply the run plateaus (doomed); when supply
 is ample DRVs decay geometrically (successful) — the trajectory classes
 of Fig 9 emerge from the grid state rather than from curve templates.
 
-Both routers ship two interchangeable kernels.  ``vectorize=True`` (the
-default) runs the struct-of-arrays fast path: segments come from one
-global lexsort + batched gcell binning, L-shape costs are evaluated
-with prefix-sum (``np.add.accumulate``) overflow sums over demand-row
-slices — skipped entirely via per-row/column hot-edge counts when a
-row has no overflowed edge — and commits are slice adds; the detailed
-router's rip-up scatter draws one batched multinomial.
-``vectorize=False`` runs the historical per-edge Python loops.  The two
-are bitwise-identical — same RNG draw order (tie-breaks and scatter
-draws), same float operations in the same order — and the scalar path
-is frozen as ``tests/eda/routing_reference.py`` with an equivalence
-suite over demand grids, congestion maps, and DRV trajectories.
+Both routers run struct-of-arrays kernels: segments come from one
+global lexsort + batched gcell binning, L-shape costs sum overflow over
+per-row/column demand lists — skipped entirely via per-row/column
+hot-edge counts when a row has no overflowed edge — and the detailed
+router's rip-up scatter draws one batched multinomial.  Both are
+bitwise-identical — same RNG draw order (tie-breaks and scatter draws),
+same float operations in the same order — to the historical per-edge
+loops frozen as ``tests/eda/routing_reference.py``, which the
+equivalence suite checks them against over demand grids, congestion
+maps, and DRV trajectories.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.eda.grid import bin_index, gcell_indices
+from repro.eda.grid import gcell_indices
 from repro.eda.placement import Placement
 
 #: A run "succeeds" if it ends with fewer DRVs than this (paper Sec 3.3).
@@ -102,7 +100,6 @@ class GlobalRouter:
         tracks_per_um: float = 16.0,
         negotiation_rounds: int = 3,
         overflow_penalty: float = 2.0,
-        vectorize: bool = True,
     ):
         """``tracks_per_um`` is the routing supply density: edge capacity
         is the gcell boundary length times this (summing the usable
@@ -117,7 +114,6 @@ class GlobalRouter:
         self.tracks_per_um = tracks_per_um
         self.negotiation_rounds = negotiation_rounds
         self.overflow_penalty = overflow_penalty
-        self.vectorize = vectorize
 
     def route(self, placement: Placement, seed: Optional[int] = None) -> GlobalRouteResult:
         rng = np.random.default_rng(seed)
@@ -126,12 +122,8 @@ class GlobalRouter:
         cap_h = self.tracks_per_um * fp.height / ny  # tracks crossing a vertical boundary
         cap_v = self.tracks_per_um * fp.width / nx
 
-        if self.vectorize:
-            segments = self._segments_fast(placement)
-            demand_h, demand_v = self._negotiate_fast(segments, cap_h, cap_v, rng)
-        else:
-            segments = self._segments_scalar(placement)
-            demand_h, demand_v = self._negotiate_scalar(segments, cap_h, cap_v, rng)
+        segments = self._segments(placement)
+        demand_h, demand_v = self._negotiate(segments, cap_h, cap_v, rng)
 
         gx = fp.width / nx
         gy = fp.height / ny
@@ -147,49 +139,14 @@ class GlobalRouter:
         )
 
     # ------------------------------------------------------ segment build
-    def _segments_scalar(self, placement: Placement) -> List[Tuple[int, int, int, int]]:
+    def _segments(self, placement: Placement) -> List[Tuple[int, int, int, int]]:
         """Two-pin segments per net: chain pins in (x, y) order.
 
-        Gcell binning goes through the shared :func:`bin_index` (floor +
-        clamp) — historically this was a private truncate-and-clamp
-        ``gcell()`` closure, which agrees with ``bin_index`` for every
-        real input only because the clamp hides the floor/truncate
-        difference below zero; routing through the shared helper keeps
-        the agreement by construction.
-        """
-        fp = placement.floorplan
-        netlist = placement.netlist
-        nx, ny = self.nx, self.ny
-        segments: List[Tuple[int, int, int, int]] = []
-        for net_name, net in netlist.nets.items():
-            if net_name == netlist.clock_net:
-                continue
-            pts = []
-            if net.driver is not None:
-                pts.append(placement.positions[net.driver])
-            pts += [placement.positions[s] for s, _ in net.sinks]
-            pad = fp.pad_positions.get(net_name)
-            if pad is not None:
-                pts.append(pad)
-            if len(pts) < 2:
-                continue
-            pts.sort()
-            for a, b in zip(pts[:-1], pts[1:]):
-                ia = bin_index(a[0], fp.width, nx)
-                ja = bin_index(a[1], fp.height, ny)
-                ib = bin_index(b[0], fp.width, nx)
-                jb = bin_index(b[1], fp.height, ny)
-                if (ia, ja) != (ib, jb):
-                    segments.append((ia, ja, ib, jb))
-        return segments
-
-    def _segments_fast(self, placement: Placement) -> List[Tuple[int, int, int, int]]:
-        """Batched segment build: one global lexsort + array binning.
-
-        Points are keyed (net ordinal, x, y) so one lexsort reproduces
-        every per-net ``pts.sort()``; binning is the vectorized
-        :func:`gcell_indices` over all pins at once.  Produces the same
-        segments in the same order as :meth:`_segments_scalar`.
+        Points are keyed (net ordinal, x, y) so one global lexsort
+        reproduces every per-net ``pts.sort()``; binning is the
+        vectorized :func:`gcell_indices` (the shared floor-and-clamp
+        rule) over all pins at once.  Segments whose ends share a gcell
+        are dropped.
         """
         fp = placement.floorplan
         netlist = placement.netlist
@@ -235,78 +192,8 @@ class GlobalRouter:
         cols = np.stack((ia[keep], ja[keep], ib[keep], jb[keep]), axis=1)
         return [tuple(row) for row in cols.tolist()]
 
-    # ------------------------------------------------------- scalar kernel
-    def _negotiate_scalar(self, segments, cap_h: float, cap_v: float,
-                          rng: np.random.Generator):
-        """Per-edge Python loops (the frozen reference kernel)."""
-        nx, ny = self.nx, self.ny
-        penalty = self.overflow_penalty
-        demand_h = np.zeros((ny, max(1, nx - 1)))
-        demand_v = np.zeros((max(1, ny - 1), nx))
-
-        def run_cost_h(j: int, lo: int, hi: int) -> float:
-            over = 0.0
-            for i in range(lo, hi):
-                over += max(0.0, demand_h[j, i] + 1.0 - cap_h)
-            return (hi - lo) + penalty * over
-
-        def run_cost_v(i: int, lo: int, hi: int) -> float:
-            over = 0.0
-            for j in range(lo, hi):
-                over += max(0.0, demand_v[j, i] + 1.0 - cap_v)
-            return (hi - lo) + penalty * over
-
-        def l_cost(seg, horizontal_first: bool) -> float:
-            ia, ja, ib, jb = seg
-            ilo, ihi = min(ia, ib), max(ia, ib)
-            jlo, jhi = min(ja, jb), max(ja, jb)
-            if horizontal_first:
-                return run_cost_h(ja, ilo, ihi) + run_cost_v(ib, jlo, jhi)
-            return run_cost_v(ia, jlo, jhi) + run_cost_h(jb, ilo, ihi)
-
-        def commit(seg, horizontal_first: bool, sign: float) -> None:
-            ia, ja, ib, jb = seg
-            if horizontal_first:
-                for i in range(min(ia, ib), max(ia, ib)):
-                    demand_h[ja, i] += sign
-                for j2 in range(min(ja, jb), max(ja, jb)):
-                    demand_v[j2, ib] += sign
-            else:
-                for j2 in range(min(ja, jb), max(ja, jb)):
-                    demand_v[j2, ia] += sign
-                for i2 in range(min(ia, ib), max(ia, ib)):
-                    demand_h[jb, i2] += sign
-
-        routes: List[Tuple[bool, Tuple[int, int, int, int]]] = []
-        # initial routing pass (random tie-break between the two L shapes)
-        for seg in segments:
-            c_hf = l_cost(seg, True)
-            c_vf = l_cost(seg, False)
-            if abs(c_hf - c_vf) < 1e-9:
-                hf = bool(rng.integers(0, 2))
-            else:
-                hf = c_hf < c_vf
-            commit(seg, hf, +1.0)
-            routes.append((hf, seg))
-
-        # negotiation: rip up and reroute every segment with updated costs
-        for _ in range(self.negotiation_rounds):
-            new_routes = []
-            for hf, seg in routes:
-                commit(seg, hf, -1.0)
-                c_hf = l_cost(seg, True)
-                c_vf = l_cost(seg, False)
-                if abs(c_hf - c_vf) < 1e-9:
-                    new_hf = bool(rng.integers(0, 2))
-                else:
-                    new_hf = c_hf < c_vf
-                commit(seg, new_hf, +1.0)
-                new_routes.append((new_hf, seg))
-            routes = new_routes
-        return demand_h, demand_v
-
-    # --------------------------------------------------------- fast kernel
-    def _negotiate_fast(self, segments, cap_h: float, cap_v: float,
+    # ------------------------------------------------------- negotiation
+    def _negotiate(self, segments, cap_h: float, cap_v: float,
                         rng: np.random.Generator):
         """Struct-of-rows kernel: flat row/column lists plus hot counts.
 
@@ -321,7 +208,7 @@ class GlobalRouter:
         without touching a single edge.  Skipping the ``over += 0.0``
         terms of cold edges is bitwise-safe (the accumulator never goes
         negative), so every cost, tie-break, and RNG draw matches the
-        scalar kernel exactly.
+        per-edge reference loop exactly.
         """
         nx, ny = self.nx, self.ny
         penalty = self.overflow_penalty
@@ -443,7 +330,6 @@ class DetailedRouter:
         spill_rate: float = 0.55,
         shock_prob: float = 0.3,
         shock_frac: float = 0.6,
-        vectorize: bool = True,
     ):
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -457,7 +343,6 @@ class DetailedRouter:
         self.spill_rate = spill_rate
         self.shock_prob = shock_prob
         self.shock_frac = shock_frac
-        self.vectorize = vectorize
 
     def route(
         self,
@@ -521,7 +406,7 @@ class DetailedRouter:
         p_spill = self.spill_rate * _sigmoid(8.0 * (neighborhood - 1.0))
         spilled = rng.binomial(fixed, np.clip(p_spill, 0.0, 1.0))
         remaining = violations - fixed
-        incoming = _scatter_to_neighbors(spilled, rng, vectorize=self.vectorize)
+        incoming = _scatter_to_neighbors(spilled, rng)
         out = np.maximum(0.0, remaining + incoming)
         # reroute shock: opening a region for rip-up occasionally exposes
         # new violations (pin access, via shorts) in proportion to local
@@ -548,14 +433,12 @@ def _box_mean(grid: np.ndarray) -> np.ndarray:
     return out / 9.0
 
 
-def _scatter_to_neighbors(
-    counts: np.ndarray, rng: np.random.Generator, vectorize: bool = True
-) -> np.ndarray:
+def _scatter_to_neighbors(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Move each count into a random 4-neighbor gcell (multinomial split).
 
     The batched draw (``rng.multinomial`` over the whole count vector)
     consumes the generator stream exactly like the historical per-cell
-    loop, so both forms produce identical scatters from the same seed.
+    loop, so it produces identical scatters from the same seed.
     """
     out = np.zeros_like(counts, dtype=float)
     ny, nx = counts.shape
@@ -563,10 +446,7 @@ def _scatter_to_neighbors(
     if js.size == 0:
         return out
     n_per_cell = counts[js, is_].astype(int)
-    if vectorize:
-        draws = rng.multinomial(n_per_cell, [0.25] * 4)
-    else:
-        draws = np.stack([rng.multinomial(n, [0.25] * 4) for n in n_per_cell])
+    draws = rng.multinomial(n_per_cell, [0.25] * 4)
     for d, (dj, di) in enumerate(((0, 1), (0, -1), (1, 0), (-1, 0))):
         tj = np.clip(js + dj, 0, ny - 1)
         ti = np.clip(is_ + di, 0, nx - 1)

@@ -125,7 +125,7 @@ def test_lint_project_writes_and_reuses_cache(tmp_path, capsys):
 
 def test_shipped_tree_is_project_lint_clean_strict(capsys):
     """Acceptance criterion: `repro lint --strict --project src/repro`
-    exits 0 with the cross-file rules R009-R012 enabled."""
+    exits 0 with the cross-file rules R009, R010 and R012 enabled."""
     src = os.path.join(REPO_ROOT, "src", "repro")
     assert main(["lint", "--strict", "--project", "--no-cache", src]) == 0, \
         capsys.readouterr().out

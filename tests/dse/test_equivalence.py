@@ -1,6 +1,6 @@
 """Façade equivalence: the legacy entrypoints and the engine's own API
 must produce identical outcomes, and the live annealing kernels must
-behave like their frozen references (the R011 manifest's runtime half).
+behave like their frozen references (``tests/eda/search_reference.py``).
 """
 
 import numpy as np

@@ -258,13 +258,3 @@ class ReferenceAnnealingRefiner:
             placement.positions[nm] = (pos_x[i], pos_y[i])
         return placement.hpwl()
 
-
-#: live scalar kernels frozen by this module, checked by lint rule R011
-#: ("<root-relative live path>::<qualname>" -> reference qualname); a
-#: drifted pair is a lint error until the reference is re-frozen
-FROZEN_PAIRS = {
-    "src/repro/eda/placement.py::QuadraticPlacer._spread":
-        "ReferenceQuadraticPlacer._spread",
-    "src/repro/eda/placement.py::AnnealingRefiner._anneal_scalar.net_hpwl":
-        "ReferenceAnnealingRefiner.refine.net_hpwl",
-}

@@ -273,21 +273,3 @@ def _scatter_to_neighbors(counts: np.ndarray, rng: np.random.Generator) -> np.nd
         np.add.at(out, (tj, ti), draws[:, d])
     return out
 
-
-#: live scalar kernels frozen by this module, checked by lint rule R011
-#: ("<root-relative live path>::<qualname>" -> reference qualname); a
-#: drifted pair is a lint error until the reference is re-frozen
-FROZEN_PAIRS = {
-    "src/repro/eda/routing.py::GlobalRouter._negotiate_scalar.run_cost_h":
-        "ReferenceGlobalRouter.route.run_cost_h",
-    "src/repro/eda/routing.py::GlobalRouter._negotiate_scalar.run_cost_v":
-        "ReferenceGlobalRouter.route.run_cost_v",
-    "src/repro/eda/routing.py::GlobalRouter._negotiate_scalar.l_cost":
-        "ReferenceGlobalRouter.route.l_cost",
-    "src/repro/eda/routing.py::GlobalRouter._negotiate_scalar.commit":
-        "ReferenceGlobalRouter.route.commit",
-    "src/repro/eda/routing.py::DetailedRouter.route":
-        "ReferenceDetailedRouter.route",
-    "src/repro/eda/routing.py::_sigmoid": "_sigmoid",
-    "src/repro/eda/routing.py::_box_mean": "_box_mean",
-}

@@ -708,11 +708,3 @@ class ReferenceTimingOptimizer:
                 changed = True
         return changed
 
-
-#: live scalar kernels frozen by this module, checked by lint rule R011
-#: ("<root-relative live path>::<qualname>" -> reference qualname); a
-#: drifted pair is a lint error until the reference is re-frozen
-FROZEN_PAIRS = {
-    "src/repro/eda/sta.py::TimingGraph.report.trace":
-        "_BaseSTA.analyze.trace",
-}

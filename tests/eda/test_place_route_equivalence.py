@@ -1,12 +1,13 @@
-"""Vectorized placement/routing kernels vs the frozen scalar references.
+"""Placement/routing kernels vs the frozen scalar references.
 
-Triple equivalence, mirroring the STA suite: for every kernel the
-struct-of-arrays fast path (``vectorize=True``), the in-tree scalar
-path (``vectorize=False``), and the frozen post-bugfix reference
-(``tests/eda/placement_reference.py`` / ``routing_reference.py``) must
-agree **bitwise** — positions, HPWL, demand grids, congestion maps, and
-DRV trajectories — across three designs (one with a macro) and three
-seeds, with and without net-weight overlays.
+For every kernel the struct-of-arrays implementation in ``src/`` and the
+frozen post-bugfix per-object loops (``tests/eda/placement_reference.py``
+/ ``routing_reference.py``) must agree **bitwise** — positions, HPWL,
+demand grids, congestion maps, and DRV trajectories — across three
+designs (one with a macro) and three seeds, with and without net-weight
+overlays, and at track densities down to below one track per edge.
+The ``*_triple_equivalence`` names date from when an in-tree scalar
+twin of each kernel was compared as a third party.
 """
 
 from __future__ import annotations
@@ -67,17 +68,26 @@ def _positions_equal(a, b):
         assert pos == b.positions[name], name
 
 
+def _routes_equal(fast, reference):
+    assert np.array_equal(fast.demand_h, reference.demand_h)
+    assert np.array_equal(fast.demand_v, reference.demand_v)
+    assert fast.wirelength == reference.wirelength
+    assert fast.capacity_h == reference.capacity_h
+    assert fast.capacity_v == reference.capacity_v
+    assert np.array_equal(fast.congestion_map(), reference.congestion_map())
+    assert fast.overflow == reference.overflow
+    assert fast.max_congestion == reference.max_congestion
+
+
 # ----------------------------------------------------------------- placer
 @pytest.mark.parametrize("design", sorted(SPECS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_placer_triple_equivalence(design, seed):
     netlist, fp = _floorplanned(design)
-    fast = QuadraticPlacer(vectorize=True).place(netlist, fp, seed=seed)
-    scalar = QuadraticPlacer(vectorize=False).place(netlist, fp, seed=seed)
+    fast = QuadraticPlacer().place(netlist, fp, seed=seed)
     reference = ReferenceQuadraticPlacer().place(netlist, fp, seed=seed)
-    _positions_equal(fast, scalar)
     _positions_equal(fast, reference)
-    assert fast.hpwl() == scalar.hpwl() == reference.hpwl()
+    assert fast.hpwl() == reference.hpwl()
     fast.validate()
 
 
@@ -89,19 +99,14 @@ def test_annealer_triple_equivalence(design, seed, weighted):
     base = _placed(design, seed)
     weights = _weights(base.netlist) if weighted else None
     p_fast = copy.deepcopy(base)
-    p_scalar = copy.deepcopy(base)
     p_ref = copy.deepcopy(base)
-    fast = AnnealingRefiner(moves_per_cell=8, vectorize=True)
-    scalar = AnnealingRefiner(moves_per_cell=8, vectorize=False)
+    fast = AnnealingRefiner(moves_per_cell=8)
     reference = ReferenceAnnealingRefiner(moves_per_cell=8)
     h_fast = fast.refine(p_fast, seed=seed + 1, net_weights=weights)
-    h_scalar = scalar.refine(p_scalar, seed=seed + 1, net_weights=weights)
     h_ref = reference.refine(p_ref, seed=seed + 1, net_weights=weights)
-    assert h_fast == h_scalar == h_ref
-    _positions_equal(p_fast, p_scalar)
+    assert h_fast == h_ref
     _positions_equal(p_fast, p_ref)
     # the evaluated temperature schedules agree too
-    assert fast.last_schedule == scalar.last_schedule
     assert fast.last_schedule.first_temperature == reference.last_first_temperature
     assert fast.last_schedule.last_temperature == reference.last_last_temperature
     assert fast.last_schedule.n_evaluated == reference.last_n_evaluated
@@ -113,27 +118,17 @@ def test_annealer_triple_equivalence(design, seed, weighted):
 @pytest.mark.parametrize("tracks", (16.0, 6.0, 0.5))
 def test_groute_triple_equivalence(design, seed, tracks):
     placement = _placed(design, seed)
-    fast = GlobalRouter(tracks_per_um=tracks, vectorize=True).route(placement, seed=seed)
-    scalar = GlobalRouter(tracks_per_um=tracks, vectorize=False).route(placement, seed=seed)
+    fast = GlobalRouter(tracks_per_um=tracks).route(placement, seed=seed)
     reference = ReferenceGlobalRouter(tracks_per_um=tracks).route(placement, seed=seed)
-    for other in (scalar, reference):
-        assert np.array_equal(fast.demand_h, other.demand_h)
-        assert np.array_equal(fast.demand_v, other.demand_v)
-        assert fast.wirelength == other.wirelength
-        assert fast.capacity_h == other.capacity_h
-        assert fast.capacity_v == other.capacity_v
-        assert np.array_equal(fast.congestion_map(), other.congestion_map())
-        assert fast.overflow == other.overflow
-        assert fast.max_congestion == other.max_congestion
+    _routes_equal(fast, reference)
 
 
 def test_groute_segments_identical_on_nondefault_grid():
     """The lexsort segment build matches the per-net build off-square too."""
     placement = _placed("datapath", 3)
-    fast_router = GlobalRouter(nx=9, ny=21)
-    scalar_router = GlobalRouter(nx=9, ny=21)
-    assert fast_router._segments_fast(placement) == \
-        scalar_router._segments_scalar(placement)
+    fast = GlobalRouter(nx=9, ny=21).route(placement, seed=3)
+    reference = ReferenceGlobalRouter(nx=9, ny=21).route(placement, seed=3)
+    _routes_equal(fast, reference)
 
 
 # --------------------------------------------------------- detailed route
@@ -142,10 +137,8 @@ def test_groute_segments_identical_on_nondefault_grid():
 def test_droute_triple_equivalence(design, seed):
     placement = _placed(design, seed)
     congestion = GlobalRouter(tracks_per_um=7.0).route(placement, seed=seed).congestion_map()
-    fast = DetailedRouter(vectorize=True).route(congestion, seed=seed)
-    scalar = DetailedRouter(vectorize=False).route(congestion, seed=seed)
+    fast = DetailedRouter().route(congestion, seed=seed)
     reference = ReferenceDetailedRouter().route(congestion, seed=seed)
-    assert fast.drvs_per_iteration == scalar.drvs_per_iteration
     assert fast.drvs_per_iteration == reference.drvs_per_iteration
     assert (fast.success, fast.iterations_run, fast.stopped_early) == \
         (reference.success, reference.iterations_run, reference.stopped_early)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eda.floorplan import make_floorplan
-from repro.eda.placement import AnnealingRefiner, Placement, QuadraticPlacer
+from repro.eda.placement import AnnealingRefiner, AnnealSchedule, Placement, QuadraticPlacer
 
 
 def test_placement_is_legal(small_placement):
@@ -151,11 +151,15 @@ def test_anneal_schedule_identical_across_kernels(small_netlist, small_floorplan
     base = QuadraticPlacer().place(small_netlist, small_floorplan, seed=5)
     import copy
 
-    fast = AnnealingRefiner(moves_per_cell=3, vectorize=True)
-    slow = AnnealingRefiner(moves_per_cell=3, vectorize=False)
+    from .placement_reference import ReferenceAnnealingRefiner
+
+    fast = AnnealingRefiner(moves_per_cell=3)
+    slow = ReferenceAnnealingRefiner(moves_per_cell=3)
     fast.refine(copy.deepcopy(base), seed=2)
     slow.refine(copy.deepcopy(base), seed=2)
-    assert fast.last_schedule == slow.last_schedule
+    assert fast.last_schedule == AnnealSchedule(
+        slow.last_first_temperature, slow.last_last_temperature,
+        slow.last_n_evaluated)
 
 
 # ---------------------------------------------------------------------------

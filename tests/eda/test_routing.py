@@ -144,6 +144,8 @@ def test_property_drvs_never_negative(base, seed):
 from repro.eda.grid import bin_index  # noqa: E402
 from repro.eda.routing import GlobalRouteResult, _scatter_to_neighbors  # noqa: E402
 
+from . import routing_reference  # noqa: E402
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -168,8 +170,8 @@ def test_scatter_clips_at_grid_edges():
 def test_scatter_batched_matches_per_cell_loop():
     rng = np.random.default_rng(21)
     counts = rng.poisson(3.0, size=(9, 11)).astype(float)
-    fast = _scatter_to_neighbors(counts, np.random.default_rng(5), vectorize=True)
-    slow = _scatter_to_neighbors(counts, np.random.default_rng(5), vectorize=False)
+    fast = _scatter_to_neighbors(counts, np.random.default_rng(5))
+    slow = routing_reference._scatter_to_neighbors(counts, np.random.default_rng(5))
     assert np.array_equal(fast, slow)
 
 
@@ -231,12 +233,16 @@ def test_gcell_binning_boundary_points(small_placement):
 
 def test_router_segments_use_shared_binning(small_placement):
     """Every segment endpoint the router produces is a legal gcell index —
-    including the ones anchored on edge pads — and the scalar and fast
-    segment builders agree with the shared bin rule."""
+    including the ones anchored on edge pads — and the routed result
+    agrees with the frozen per-net reference's binning."""
     router = GlobalRouter(nx=11, ny=13)
     fp = small_placement.floorplan
-    segs = router._segments_scalar(small_placement)
-    assert segs == router._segments_fast(small_placement)
+    segs = router._segments(small_placement)
+    reference = routing_reference.ReferenceGlobalRouter(nx=11, ny=13)
+    fast_route = router.route(small_placement, seed=4)
+    ref_route = reference.route(small_placement, seed=4)
+    assert np.array_equal(fast_route.demand_h, ref_route.demand_h)
+    assert np.array_equal(fast_route.demand_v, ref_route.demand_v)
     for ia, ja, ib, jb in segs:
         assert 0 <= ia < 11 and 0 <= ib < 11
         assert 0 <= ja < 13 and 0 <= jb < 13
