@@ -4,9 +4,14 @@
 benchmarks, which merge their summaries into ``BENCH_sta.json`` /
 ``BENCH_place_route.json`` / ``BENCH_lint.json``; this script compares
 such a file to its committed baseline
-(``benchmarks/BENCH_*_baseline.json``) and exits 1 on regression.  The baseline decides which sections are required: any
-section present in the baseline must be present — and healthy — in the
-current file, so the one script gates both benchmark families.
+(``benchmarks/BENCH_*_baseline.json``) and exits 1 on regression.  The
+baseline decides which sections are required: any section present in
+the baseline must be present — and healthy — in the current file, so
+the one script gates every benchmark family.  Nothing is skipped
+silently: a section the current file carries but the baseline lacks, a
+baseline section with no floor defined here, and a baseline with no
+sections at all each fail the gate, since each would leave a benchmark
+ungated.
 
 What counts as a regression is chosen to be machine-independent:
 
@@ -78,6 +83,19 @@ def main(argv=None) -> int:
         baseline = json.load(fh)
 
     failures = []
+    known = (*WALL_FLOORS, *PROXY_FLOORS)
+    for section in sorted(current):
+        if section not in baseline:
+            failures.append(
+                f"'{section}' section is not in the baseline, so it is "
+                f"ungated; add it to {args.baseline}")
+    for section in sorted(baseline):
+        if section not in known:
+            failures.append(
+                f"baseline section '{section}' has no floor defined in "
+                f"check_bench_regression.py")
+    if not baseline:
+        failures.append("baseline has no benchmark sections")
 
     for section, abs_floor in WALL_FLOORS.items():
         base = baseline.get(section)
@@ -117,10 +135,6 @@ def main(argv=None) -> int:
         print(f"{section}: {now['work_ratio']:.2f}x less executed "
               f"work (baseline {base['work_ratio']:.2f}x, "
               f"floor {floor:.2f}x)")
-
-    if not failures and not any(
-            key in baseline for key in (*WALL_FLOORS, *PROXY_FLOORS)):
-        failures.append("baseline has no recognized benchmark sections")
 
     for failure in failures:
         print(f"FAIL: {failure}")
