@@ -16,6 +16,10 @@ check also accepts any string literal elsewhere in the project (the
 flow wrappers route names through mapping dicts like
 ``_STEP_METRICS``), and is skipped entirely when the schema module is
 not part of the linted set.
+
+A linted ``metrics/schema.py`` whose ``VOCABULARY`` is not a literal
+dict is itself an error: the rule cannot read it, and falling back to
+the installed vocabulary would silently drop the dead-entry check.
 """
 
 from __future__ import annotations
@@ -32,13 +36,27 @@ _EMIT_METHODS = {"send", "record", "emit"}
 # dot-separated segments after the first (stage events have three)
 _NAME_RE = re.compile(r"^[a-z_]+(\.[a-z_]+)+$")
 
+_UNREADABLE_SCHEMA = (
+    "metrics/schema.py defines no literal VOCABULARY dict, so R006 cannot "
+    "check emitters or dead entries against it; keep VOCABULARY a dict "
+    "literal"
+)
+
 
 def _extract_vocabulary(schema: ModuleInfo) -> Optional[Dict[str, int]]:
-    """``VOCABULARY`` keys -> schema line, from the module's AST."""
+    """``VOCABULARY`` keys -> schema line, from the module's AST.
+
+    Plain (``VOCABULARY = {...}``) and annotated
+    (``VOCABULARY: Dict[...] = {...}``) assignments both count.
+    """
     for stmt in schema.tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                isinstance(stmt.targets[0], ast.Name) and \
-                stmt.targets[0].id == "VOCABULARY" and \
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target = stmt.targets[0]
+        elif isinstance(stmt, ast.AnnAssign):
+            target = stmt.target
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "VOCABULARY" and \
                 isinstance(stmt.value, ast.Dict):
             return {
                 key.value: key.lineno
@@ -65,6 +83,9 @@ class MetricsVocabularyRule(Rule):
                 schema = module
                 break
         vocabulary = _extract_vocabulary(schema) if schema is not None else None
+        if schema is not None and vocabulary is None:
+            yield self.finding(schema, 1, _UNREADABLE_SCHEMA)
+            return
         if vocabulary is None:
             try:
                 from repro.metrics.schema import VOCABULARY
@@ -125,8 +146,10 @@ class MetricsVocabularyRule(Rule):
                 break
         vocabulary = (context.summaries[schema_path].vocabulary
                       if schema_path is not None else None)
+        if schema_path is not None and vocabulary is None:
+            yield self.finding_at(schema_path, 1, _UNREADABLE_SCHEMA)
+            return
         if vocabulary is None:
-            schema_path = None  # file present but no VOCABULARY dict
             try:
                 from repro.metrics.schema import VOCABULARY
             except ImportError:  # pragma: no cover - repro is importable here

@@ -368,6 +368,25 @@ def test_r006_fires_in_project_mode(tmp_path):
     assert any("'flow.area' has no emitter" in m for m in messages)
 
 
+def test_r006_non_literal_vocabulary_fails_loudly_in_project_mode(tmp_path):
+    pkg = tmp_path / "proj"
+    (pkg / "metrics").mkdir(parents=True)
+    (tmp_path / "pyproject.toml").write_text("")
+    (pkg / "metrics" / "schema.py").write_text(
+        'VOCABULARY = dict([("flow.area", ("u", "d"))])\n')
+    (pkg / "emitter.py").write_text(textwrap.dedent("""
+        def report(tx):
+            tx.send("bogus.metric", 1.0)
+    """))
+    report = lint_project_paths(
+        [str(pkg)], LintConfig(select=["R006"], project=True,
+                               use_cache=False,
+                               project_root=str(tmp_path)))
+    found = rule_findings(report, "R006")
+    assert [(f.path, f.line) for f in found] == [("proj/metrics/schema.py", 1)]
+    assert "no literal VOCABULARY dict" in found[0].message
+
+
 def test_r008_fires_in_project_mode(tmp_path):
     pkg = tmp_path / "proj"
     pkg.mkdir()

@@ -222,6 +222,34 @@ def test_r006_mapping_dict_counts_as_emitter(tmp_path):
     assert report.findings == []
 
 
+def test_r006_reads_annotated_vocabulary(tmp_path):
+    """``VOCABULARY: Dict[...] = {...}`` (the real schema's spelling) is
+    read, so its dead entries are still reported."""
+    proj = make_metrics_project(tmp_path, "flow.area", ["flow.area"])
+    (tmp_path / "proj" / "metrics" / "schema.py").write_text(
+        'from typing import Dict\n'
+        'VOCABULARY: Dict[str, tuple] = {\n'
+        '    "flow.area": ("u", "d"),\n'
+        '    "synth.area": ("u", "d"),\n'
+        '}\n')
+    report = Analyzer(LintConfig(select=["R006"])).lint_paths([proj])
+    assert [(f.line, f.message) for f in report.findings] == [
+        (4, "vocabulary entry 'synth.area' has no emitter anywhere in the "
+            "linted tree; remove it or emit it")]
+
+
+def test_r006_non_literal_vocabulary_fails_loudly(tmp_path):
+    """A linted schema whose VOCABULARY the rule cannot read is an error
+    on schema.py, not a silent fallback to the installed vocabulary."""
+    proj = make_metrics_project(tmp_path, "bogus.metric", ["flow.area"])
+    (tmp_path / "proj" / "metrics" / "schema.py").write_text(
+        'VOCABULARY = dict([("flow.area", ("u", "d"))])\n')
+    report = Analyzer(LintConfig(select=["R006"])).lint_paths([proj])
+    assert [(f.path, f.line) for f in report.findings] == [
+        ("proj/metrics/schema.py", 1)]
+    assert "no literal VOCABULARY dict" in report.findings[0].message
+
+
 # ---------------------------------------------------------------- R008
 def make_cli_project(tmp_path, documented):
     pkg = tmp_path / "proj"
