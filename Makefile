@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-perf smoke metrics-smoke warehouse-smoke stage-smoke sta-smoke dse-smoke bench-trajectory bench
+.PHONY: test lint lint-perf smoke metrics-smoke warehouse-smoke stage-smoke sta-smoke dse-smoke bench-trajectory bench figures
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -12,8 +12,8 @@ test:
 # Determinism & parallel-safety static analysis (rule catalog:
 # docs/static-analysis.md).  --strict: any finding fails, including
 # warnings and stale suppressions.  --project enables the cross-file
-# rules (R009, R010, R012) over the import/call graph; the content-hash cache
-# (.repro-lint-cache.json) makes warm re-runs near-instant.
+# rules (R009, R010, R012) over the import/call graph; the content-hash
+# cache (.repro-lint-cache.json) makes warm re-runs near-instant.
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint --strict \
 		--project src/repro
@@ -134,3 +134,12 @@ bench-trajectory:
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Paper figure/table gate: the 22 benchmarks/test_*.py shape tests
+# (Figs 1-11, Table 1, Sec 3.3, Solution 1, ablations) at the paper's
+# corpus sizes, about 4-5 minutes on two cores.  --benchmark-disable
+# runs each timed body once and keeps every shape assertion; needs
+# pytest-benchmark for the fixture.
+figures:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-disable \
+		benchmarks/
