@@ -91,6 +91,22 @@ def test_placer_triple_equivalence(design, seed):
     fast.validate()
 
 
+@pytest.mark.parametrize("design", sorted(SPECS))
+@pytest.mark.parametrize("strength", (0.0, 0.8, 1.0))
+def test_spread_matches_reference_before_legalization(design, strength):
+    """Legalization snaps to sites and can absorb a small drift in the
+    spreading blend, so the spread kernel is compared on its own."""
+    _, fp = _floorplanned(design)
+    rng = np.random.default_rng(5)
+    # analytic coordinates overshoot the core on both sides, with ties
+    xs = np.round(rng.uniform(-0.2, 1.2, 300) * fp.width, 1)
+    ys = np.round(rng.uniform(-0.2, 1.2, 300) * fp.height, 1)
+    fast = QuadraticPlacer(strength)._spread(xs.copy(), ys.copy(), fp)
+    reference = ReferenceQuadraticPlacer(strength)._spread(xs.copy(), ys.copy(), fp)
+    assert np.array_equal(fast[0], reference[0])
+    assert np.array_equal(fast[1], reference[1])
+
+
 # --------------------------------------------------------------- annealer
 @pytest.mark.parametrize("design", sorted(SPECS))
 @pytest.mark.parametrize("seed", SEEDS)

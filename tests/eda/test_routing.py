@@ -142,7 +142,12 @@ def test_property_drvs_never_negative(base, seed):
 # Scatter conservation (the detailed router's spill redistribution)
 # ---------------------------------------------------------------------------
 from repro.eda.grid import bin_index  # noqa: E402
-from repro.eda.routing import GlobalRouteResult, _scatter_to_neighbors  # noqa: E402
+from repro.eda.routing import (  # noqa: E402
+    GlobalRouteResult,
+    _box_mean,
+    _scatter_to_neighbors,
+    _sigmoid,
+)
 
 from . import routing_reference  # noqa: E402
 
@@ -173,6 +178,16 @@ def test_scatter_batched_matches_per_cell_loop():
     fast = _scatter_to_neighbors(counts, np.random.default_rng(5))
     slow = routing_reference._scatter_to_neighbors(counts, np.random.default_rng(5))
     assert np.array_equal(fast, slow)
+
+
+def test_sigmoid_and_box_mean_match_reference():
+    """Flow congestion never drives the sigmoid into its clip range, so
+    the droute equivalence suite cannot see the clip; compare both
+    helpers to the frozen reference on their own, over extreme inputs."""
+    x = np.linspace(-80.0, 80.0, 321)
+    assert np.array_equal(_sigmoid(x), routing_reference._sigmoid(x))
+    grid = np.random.default_rng(3).uniform(0.0, 3.0, size=(7, 9))
+    assert np.array_equal(_box_mean(grid), routing_reference._box_mean(grid))
 
 
 def test_scatter_empty_grid_is_noop():
