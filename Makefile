@@ -137,7 +137,7 @@ bench:
 
 # Paper figure/table gate: the 22 benchmarks/test_*.py shape tests
 # (Figs 1-11, Table 1, Sec 3.3, Solution 1, ablations) at the paper's
-# corpus sizes, about 4-5 minutes on two cores.  --benchmark-disable
+# corpus sizes, about 3 minutes on two cores.  --benchmark-disable
 # runs each timed body once and keeps every shape assertion; needs
 # pytest-benchmark for the fixture.
 figures:

@@ -1,9 +1,9 @@
 """Place & route kernel benchmark: annealer and global router vs the
 frozen scalar references.
 
-PR 7 rewrote the two remaining per-object hot loops of the physical flow
-as incremental kernels; the historical loops survive only as the frozen
-equivalence oracles in ``tests/eda/placement_reference.py`` and
+The two remaining per-object hot loops of the physical flow were
+rewritten as incremental kernels; the historical loops survive only as
+the frozen equivalence oracles in ``tests/eda/placement_reference.py`` and
 ``tests/eda/routing_reference.py``, which serve as the baseline here:
 
 - ``AnnealingRefiner``: per-move full rescans of every touched net were
@@ -126,13 +126,11 @@ def build_route_placement(seed: int):
 
 def _schedule(refiner):
     """The evaluated cooling schedule of either annealer."""
-    if isinstance(refiner, ReferenceAnnealingRefiner):
-        if not refiner.last_n_evaluated:
-            return None
-        return AnnealSchedule(refiner.last_first_temperature,
-                              refiner.last_last_temperature,
-                              refiner.last_n_evaluated)
-    return refiner.last_schedule
+    if isinstance(refiner, AnnealingRefiner):
+        return refiner.last_schedule
+    return AnnealSchedule(refiner.last_first_temperature,
+                          refiner.last_last_temperature,
+                          refiner.last_n_evaluated)
 
 
 def time_anneal(placement, reference: bool, seed: int, repeats: int):
