@@ -144,7 +144,7 @@ class GlobalRouter:
 
         Points are keyed (net ordinal, x, y) so one global lexsort
         reproduces every per-net ``pts.sort()``; binning is the
-        vectorized :func:`gcell_indices` (the shared floor-and-clamp
+        array-wide :func:`gcell_indices` (the shared floor-and-clamp
         rule) over all pins at once.  Segments whose ends share a gcell
         are dropped.
         """
