@@ -32,15 +32,16 @@ class SweepStrategy(Strategy):
     """
 
     name = "sweep"
+    defaults = {"points": None, "limit": 64, "n_concurrent": 5}
 
     def run(self, task, ctx) -> DSEResult:
-        n_concurrent = int(ctx.params.get("n_concurrent", 5))
+        n_concurrent = int(ctx.params["n_concurrent"])
         if n_concurrent < 1:
             raise ValueError("n_concurrent must be >= 1")
         space, objective = ctx.space, ctx.objective
-        points = ctx.params.get("points")
+        points = ctx.params["points"]
         if points is None:
-            points = space.enumerate(limit=int(ctx.params.get("limit", 64)))
+            points = space.enumerate(limit=int(ctx.params["limit"]))
         points = [dict(p) for p in points]
         if not points:
             raise ValueError("sweep needs at least one candidate point")
