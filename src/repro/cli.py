@@ -7,8 +7,10 @@ Python:
 - ``repro flow`` — run the SP&R flow on a named design profile;
 - ``repro noise`` — the Fig 3 noise sweep;
 - ``repro doomed`` — train and evaluate the doomed-run strategy card;
-- ``repro mab`` — the Fig 7 bandit tuning loop;
-- ``repro explore`` — GWTW trajectory exploration (Fig 5/6);
+- ``repro mab`` — the Fig 7 bandit tuning loop (the engine's
+  ``bandit`` strategy);
+- ``repro explore`` — GWTW trajectory exploration (Fig 5/6; the
+  engine's ``explorer`` strategy);
 - ``repro dse`` — the declarative DSE engine: any registered strategy
   under a budget, with optional online doomed-run killing and a
   surrogate proposer (see ``docs/dse.md``);
@@ -166,11 +168,8 @@ def _close_metrics(executor) -> None:
 
 def _cmd_mab(args) -> int:
     from repro.bench.generators import design_profile
-    from repro.core.bandit import (
-        BatchBanditScheduler,
-        FlowArmEnvironment,
-        ThompsonSampling,
-    )
+    from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
+    from repro.dse import DSEEngine
 
     spec = design_profile(args.design)
     frequencies = [float(f) for f in args.arms.split(",")]
@@ -179,9 +178,14 @@ def _cmd_mab(args) -> int:
     policy = ThompsonSampling(env.n_arms, seed=args.seed + 1)
     with _make_executor(args) as executor:
         try:
-            result = BatchBanditScheduler(args.iterations, args.concurrent,
-                                          executor=executor).run(policy, env)
-            print(f"{result.n_successes}/{len(result.records)} successful runs")
+            engine = DSEEngine(
+                strategy="bandit", executor=executor,
+                params={"n_iterations": args.iterations,
+                        "n_concurrent": args.concurrent},
+            )
+            result = engine.run((policy, env), seed=args.seed)
+            print(f"{result.n_runs - result.n_failed}/{result.n_runs} "
+                  f"successful runs")
             best = int(policy.posterior_mean().argmax())
             print(f"recommended target: {frequencies[best]:.2f} GHz")
             print(f"executor: {executor.stats.summary()}")
@@ -193,16 +197,17 @@ def _cmd_mab(args) -> int:
 
 def _cmd_explore(args) -> int:
     from repro.bench.generators import design_profile
-    from repro.core.orchestration import TrajectoryExplorer
+    from repro.dse import DSEEngine
 
     spec = design_profile(args.design)
     with _make_executor(args) as executor:
         try:
-            explorer = TrajectoryExplorer(
-                n_concurrent=args.concurrent, n_rounds=args.rounds,
-                executor=executor,
+            engine = DSEEngine(
+                strategy="explorer", executor=executor,
+                params={"n_concurrent": args.concurrent,
+                        "n_rounds": args.rounds},
             )
-            result = explorer.explore(spec, seed=args.seed)
+            result = engine.run(spec, seed=args.seed)
             print(f"{result.n_runs} runs over {args.rounds} rounds "
                   f"({result.n_pruned} pruned, {result.n_failed} failed), "
                   f"best score {result.best_score:.4f}")
@@ -219,14 +224,37 @@ def _cmd_explore(args) -> int:
     return 0 if result.best_result is not None else 1
 
 
+#: ``repro dse`` strategies that search netlist bisection, not flow
+#: options: they run without a flow executor
+_LANDSCAPE_STRATEGIES = ("gwtw", "independent", "multistart", "random")
+
+#: ``repro dse`` flags that only configure flow runs
+_FLOW_ONLY_FLAGS = ("--kill", "--surrogate", "--workers", "--cache-dir",
+                    "--stage-cache", "--metrics-out", "--metrics-db",
+                    "--campaign")
+
+
+def _reject_flow_only_flags(parser, args) -> None:
+    """A landscape strategy would silently ignore the flow-only flags:
+    refuse any that differs from its default (exit 2)."""
+    if args.strategy not in _LANDSCAPE_STRATEGIES:
+        return
+    defaults = vars(parser.parse_args(["dse"]))
+    for flag in _FLOW_ONLY_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != defaults[dest]:
+            parser.error(f"dse: {flag} configures flow runs; strategy "
+                         f"{args.strategy!r} searches netlist bisection "
+                         f"and would ignore it")
+
+
 def _cmd_dse(args) -> int:
     from repro.bench.generators import design_profile
     from repro.dse import Budget, DSEEngine, SurrogateProposer, train_kill_policy
 
     budget = Budget(max_runs=args.budget_runs,
                     max_runtime_proxy=args.budget_proxy)
-    if args.strategy in ("gwtw", "independent", "multistart", "random"):
-        # landscape strategies search netlist bisection, not flow options
+    if args.strategy in _LANDSCAPE_STRATEGIES:
         from repro.core.search.landscape import BisectionProblem
         from repro.eda.library import make_default_library
         from repro.eda.synthesis import synthesize
@@ -810,6 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "dse":
+        _reject_flow_only_flags(parser, args)
     return args.func(args)
 
 

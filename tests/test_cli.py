@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -87,6 +89,54 @@ def test_explore_with_stage_cache(capsys):
     out = capsys.readouterr().out
     assert "stage_misses=" in out  # stage accounting surfaced in the summary
     assert code == 0
+
+
+DSE_ARGS = ["dse", "--design", "PHY", "--rounds", "1", "--concurrent", "2",
+            "--seed", "1"]
+
+
+def test_dse_explorer_with_kill_surrogate_and_metrics(capsys, tmp_path):
+    out_file = tmp_path / "dse.jsonl"
+    code = main(DSE_ARGS + ["--strategy", "explorer", "--kill", "mdp",
+                            "--surrogate", "forest",
+                            "--metrics-out", str(out_file)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "strategy=explorer objective=score: 2 runs" in out
+    assert "executor: jobs=2" in out
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    dse = {r["metric"]: r["value"] for r in records
+           if r["metric"].startswith("dse.")}
+    assert dse["dse.runs"] == 2.0
+    assert {"dse.failed", "dse.killed", "dse.runtime_proxy"} <= set(dse)
+
+
+def test_dse_bandit(capsys):
+    code = main(DSE_ARGS + ["--strategy", "bandit"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "strategy=bandit objective=score: 2 runs" in out
+    assert "executor: jobs=2" in out
+
+
+def test_dse_landscape_strategy(capsys):
+    code = main(DSE_ARGS + ["--strategy", "random"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "strategy=random design=phy" in out
+    assert "after 12 searches" in out
+
+
+@pytest.mark.parametrize("flag", [
+    ["--kill", "mdp"], ["--surrogate", "forest"], ["--workers", "2"],
+    ["--cache-dir", "cache"], ["--stage-cache"], ["--metrics-out", "m.jsonl"],
+    ["--metrics-db", "m.sqlite"], ["--campaign", "c"],
+], ids=lambda flag: flag[0])
+def test_dse_landscape_strategy_rejects_flow_only_flags(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(DSE_ARGS + ["--strategy", "random"] + flag)
+    assert err.value.code == 2
+    assert f"{flag[0]} configures flow runs" in capsys.readouterr().err
 
 
 def test_metrics_summary_reports_incremental_timing(capsys, tmp_path):
