@@ -6,6 +6,10 @@ of T iterations with N concurrent tool runs (licenses) per iteration is
 spent by a sampling policy that balances exploration and exploitation.
 Thompson Sampling is the paper's recommended policy; softmax and
 ε-greedy are the compared alternatives, plus UCB1 and uniform baselines.
+
+The batched schedule itself — N pulls per iteration, policy updated
+with every reward before the next — is the ``"bandit"`` strategy of
+:class:`repro.dse.DSEEngine`, run on a ``(policy, environment)`` task.
 """
 
 from repro.core.bandit.policies import (
@@ -24,7 +28,6 @@ from repro.core.bandit.environment import (
     FlowArmEnvironment,
     SyntheticBanditEnvironment,
 )
-from repro.core.bandit.scheduler import BanditRunRecord, BatchBanditScheduler, ScheduleResult
 from repro.core.bandit.regret import cumulative_regret, expected_total_regret
 
 __all__ = [
@@ -40,9 +43,6 @@ __all__ = [
     "BanditEnvironment",
     "FlowArmEnvironment",
     "SyntheticBanditEnvironment",
-    "BatchBanditScheduler",
-    "ScheduleResult",
-    "BanditRunRecord",
     "cumulative_regret",
     "expected_total_regret",
 ]

@@ -3,19 +3,21 @@
 "Let r* be the reward for the optimal arm at any step j.  Then the
 regret for that step is r* - r_{a_j} and the expected total regret is
 E[sum_j r* - r_{a_j}]."  These helpers compute realized and expected
-regret for a schedule against known true arm means.
+regret for a ``"bandit"`` campaign's result against known true arm
+means.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.bandit.scheduler import ScheduleResult
+if TYPE_CHECKING:
+    from repro.dse.result import DSEResult
 
 
-def cumulative_regret(result: ScheduleResult, true_means: Sequence[float]) -> np.ndarray:
+def cumulative_regret(result: DSEResult, true_means: Sequence[float]) -> np.ndarray:
     """Expected regret accumulated after each pull.
 
     Uses the *expected* per-step regret mu* - mu_{a_j} (the standard
@@ -30,7 +32,7 @@ def cumulative_regret(result: ScheduleResult, true_means: Sequence[float]) -> np
     return np.cumsum(per_step)
 
 
-def expected_total_regret(result: ScheduleResult, true_means: Sequence[float]) -> float:
+def expected_total_regret(result: DSEResult, true_means: Sequence[float]) -> float:
     """Total pseudo-regret of the whole schedule."""
     regret = cumulative_regret(result, true_means)
     return float(regret[-1]) if regret.size else 0.0

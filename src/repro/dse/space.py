@@ -4,10 +4,9 @@ A :class:`SearchSpace` wraps a
 :class:`~repro.core.orchestration.tree.FlowOptionTree` — the flow-step
 option menus of paper Fig 5(a) — and optionally a set of
 design-generator knobs.  Its ``sample``/``perturb`` draw order is the
-contract the trajectory strategy's bit-identity with the historical
-:class:`~repro.core.orchestration.explorer.TrajectoryExplorer` rests
-on: one ``rng.integers`` draw per option in step order for a sample,
-and exactly three draws (step, option, value) for a perturbation.
+contract the ``"explorer"`` strategy's reproducibility rests on: one
+``rng.integers`` draw per option in step order for a sample, and
+exactly three draws (step, option, value) for a perturbation.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class SearchSpace:
     def perturb(self, point: Dict[str, object],
                 rng: np.random.Generator) -> Dict[str, object]:
         """Clone a point, re-rolling one random flow option — the exact
-        three-draw perturbation of the historical explorer."""
+        three-draw perturbation of the ``"explorer"`` strategy."""
         clone = dict(point)
         step = self.tree.steps[int(rng.integers(0, len(self.tree.steps)))]
         option = list(step.options)[int(rng.integers(0, len(step.options)))]

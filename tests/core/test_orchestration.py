@@ -10,9 +10,9 @@ from repro.core.orchestration import (
     FlowStepOptions,
     MemoryPlacementRobot,
     TimingClosureRobot,
-    TrajectoryExplorer,
     default_option_tree,
 )
+from repro.dse import DSEEngine
 from repro.eda.flow import FlowOptions
 from repro.eda.floorplan import Floorplan
 from repro.eda.synthesis import DesignSpec
@@ -122,21 +122,24 @@ def test_robot_validation():
 
 
 # --------------------------------------------------------------- explorer
+def explore(spec, seed=0, **params):
+    return DSEEngine(strategy="explorer", params=params).run(spec, seed=seed)
+
+
 def test_explorer_finds_successful_trajectory(robot_spec):
-    explorer = TrajectoryExplorer(n_concurrent=3, n_rounds=2)
-    result = explorer.explore(robot_spec, seed=6)
+    result = explore(robot_spec, seed=6, n_concurrent=3, n_rounds=2)
     assert result.n_runs == 6
     assert result.best_result is not None
-    assert result.score_trace == sorted(result.score_trace)  # monotone best
+    assert result.trace == sorted(result.trace)  # monotone best
 
 
-def test_explorer_validation():
+def test_explorer_validation(robot_spec):
     with pytest.raises(ValueError):
-        TrajectoryExplorer(n_concurrent=1)
+        explore(robot_spec, n_concurrent=1)
     with pytest.raises(ValueError):
-        TrajectoryExplorer(n_rounds=0)
+        explore(robot_spec, n_rounds=0)
     with pytest.raises(ValueError):
-        TrajectoryExplorer(survivor_fraction=0.0)
+        explore(robot_spec, survivor_fraction=0.0)
 
 
 # ----------------------------------------------------------------- stage 4
