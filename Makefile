@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-perf smoke metrics-smoke warehouse-smoke stage-smoke sta-smoke dse-smoke bench-trajectory bench figures
+.PHONY: test lint lint-perf smoke metrics-smoke warehouse-smoke stage-smoke sta-smoke dse-smoke bench-trajectory bench figures examples
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -143,3 +143,12 @@ bench:
 figures:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-disable \
 		benchmarks/
+
+# Every examples/*.py script end to end, each under a hard timeout
+# (about 140 s for all ten on two cores).  Tier-1 only imports most of
+# them and runs the fast ones.
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=$(PYTHONPATH) timeout 300 $(PYTHON) $$script || exit 1; \
+	done
