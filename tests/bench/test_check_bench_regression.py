@@ -42,6 +42,17 @@ def test_bit_identical_false_fails(tmp_path, capsys):
     assert "groute kernel is no longer bit-identical" in capsys.readouterr().out
 
 
+def test_quadratic_gates_on_solve_close(tmp_path, capsys):
+    """The CG placer is gated on closeness to the dense solve, not on
+    bit identity: a healthy section without bit_identical passes, a
+    false solve_close fails."""
+    healthy = {"solve_close": True, "speedup": 6.0}
+    assert run_gate(tmp_path, {"quadratic": healthy}, {"quadratic": healthy}) == 0
+    broken = dict(healthy, solve_close=False)
+    assert run_gate(tmp_path, {"quadratic": broken}, {"quadratic": healthy}) == 1
+    assert "CG solve drifted from the dense reference" in capsys.readouterr().out
+
+
 def test_qor_identical_false_fails(tmp_path, capsys):
     broken = dict(PROXY, qor_identical=False)
     assert run_gate(tmp_path, {"dse": broken}, {"dse": PROXY}) == 1

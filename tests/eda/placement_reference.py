@@ -1,13 +1,20 @@
 """Frozen copy of the post-bugfix scalar placement kernels (the golden
-reference for the vectorized placement equivalence tests).
+reference for the placement equivalence tests).
 
 This is the literal scalar implementation the struct-of-arrays fast
 paths replaced — per-site legality checks in the legalizer, per-move
 full rescans of every touched net in the annealer — captured *after*
 the three PR-7 bugfixes landed (shared ``bin_index`` binning, cooling
 decay moved after the acceptance test, ``pad is not None`` presence
-checks), so the equivalence suite compares both in-tree kernels against
+checks), so the equivalence suite compares the in-tree kernels against
 the frozen historical behavior rather than against the code under test.
+
+``ReferenceQuadraticPlacer._analytic`` keeps the historical dense n x n
+Laplacian and its two ``np.linalg.solve`` calls.  It is the analytic
+oracle the sparse conjugate-gradient solve is checked *close* to (not
+bitwise: LU and CG round differently); spreading and legalization are
+checked bitwise on the reference's own analytic coordinates.  Splitting
+the solve out into ``_analytic`` moved code only; no arithmetic changed.
 Not a test module — no ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -43,6 +50,19 @@ class ReferenceQuadraticPlacer:
         if n == 0:
             return Placement(netlist, floorplan, {})
 
+        xs, ys = self._analytic(netlist, floorplan, rng)
+        xs, ys = self._spread(xs, ys, floorplan)
+        positions = {name: (float(xs[i]), float(ys[i])) for name, i in index.items()}
+        placement = Placement(netlist, floorplan, positions)
+        reference_legalize(placement, rng)
+        return placement
+
+    def _analytic(self, netlist: Netlist, floorplan: Floorplan,
+                  rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """The dense clique-model Laplacian and its two direct solves."""
+        names = list(netlist.instances)
+        index = {n: i for i, n in enumerate(names)}
+        n = len(names)
         lap = np.zeros((n, n))
         bx = np.zeros(n)
         by = np.zeros(n)
@@ -80,11 +100,7 @@ class ReferenceQuadraticPlacer:
 
         xs = np.linalg.solve(lap, bx)
         ys = np.linalg.solve(lap, by)
-        xs, ys = self._spread(xs, ys, floorplan)
-        positions = {name: (float(xs[i]), float(ys[i])) for name, i in index.items()}
-        placement = Placement(netlist, floorplan, positions)
-        reference_legalize(placement, rng)
-        return placement
+        return xs, ys
 
     def _spread(self, xs: np.ndarray, ys: np.ndarray, fp: Floorplan):
         """Blend analytic coordinates with rank-uniform coordinates."""

@@ -1,11 +1,17 @@
 """Placement/routing kernels vs the frozen scalar references.
 
-For every kernel the struct-of-arrays implementation in ``src/`` and the
-frozen post-bugfix per-object loops (``tests/eda/placement_reference.py``
-/ ``routing_reference.py``) must agree **bitwise** — positions, HPWL,
+For every kernel after the analytic placement solve, the
+struct-of-arrays implementation in ``src/`` and the frozen post-bugfix
+per-object loops (``tests/eda/placement_reference.py`` /
+``routing_reference.py``) must agree **bitwise** — positions, HPWL,
 demand grids, congestion maps, and DRV trajectories — across three
 designs (one with a macro) and three seeds, with and without net-weight
 overlays, and at track densities down to below one track per edge.
+The placer is split at its solver seam: the sparse CG solve must land
+within ``1e-9`` x core width of the dense LU solve, and spreading plus
+legalization must reproduce the reference bitwise from the reference's
+own analytic coordinates.  On the default-options corpus flows the
+whole legalized placement stays bit-identical to the dense solve.
 The ``*_triple_equivalence`` names date from when an in-tree scalar
 twin of each kernel was compared as a third party.
 """
@@ -18,10 +24,13 @@ import functools
 import numpy as np
 import pytest
 
+from repro.bench.generators import DRIVER_CLASSES
+from repro.eda.flow import FlowOptions, FlowResult
 from repro.eda.floorplan import Macro, make_floorplan
 from repro.eda.library import make_default_library
 from repro.eda.placement import AnnealingRefiner, QuadraticPlacer
 from repro.eda.routing import DetailedRouter, GlobalRouter
+from repro.eda.stages import PipelineState, plan_stages
 from repro.eda.synthesis import DesignSpec, synthesize
 
 from .placement_reference import ReferenceAnnealingRefiner, ReferenceQuadraticPlacer
@@ -80,15 +89,62 @@ def _routes_equal(fast, reference):
 
 
 # ----------------------------------------------------------------- placer
+class _OnReferenceSolve(QuadraticPlacer):
+    """The live placer fed the frozen dense solve's analytic coordinates."""
+
+    def _analytic(self, netlist, fp, rng):
+        return ReferenceQuadraticPlacer(self.spread_strength)._analytic(netlist, fp, rng)
+
+
+@pytest.mark.parametrize("design", sorted(SPECS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_placer_solve_matches_dense_reference(design, seed):
+    """The sparse CG solve lands on the dense LU optimum."""
+    netlist, fp = _floorplanned(design)
+    xs, ys = QuadraticPlacer()._analytic(netlist, fp, np.random.default_rng(seed))
+    ref_xs, ref_ys = ReferenceQuadraticPlacer()._analytic(
+        netlist, fp, np.random.default_rng(seed))
+    atol = 1e-9 * fp.width
+    np.testing.assert_allclose(xs, ref_xs, rtol=0, atol=atol)
+    np.testing.assert_allclose(ys, ref_ys, rtol=0, atol=atol)
+
+
 @pytest.mark.parametrize("design", sorted(SPECS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_placer_triple_equivalence(design, seed):
+    """On the reference's analytic coordinates and rng state, the live
+    spreading and legalization reproduce the reference placement."""
     netlist, fp = _floorplanned(design)
-    fast = QuadraticPlacer().place(netlist, fp, seed=seed)
+    fast = _OnReferenceSolve().place(netlist, fp, seed=seed)
     reference = ReferenceQuadraticPlacer().place(netlist, fp, seed=seed)
     _positions_equal(fast, reference)
     assert fast.hpwl() == reference.hpwl()
     fast.validate()
+
+
+def _before_place(design: str, flow_seed: int):
+    """Netlist, floorplan and placer seed of a default-options flow."""
+    spec = DRIVER_CLASSES[design]
+    _kind, stages, stage_seeds = plan_stages(spec, flow_seed)
+    options = FlowOptions()
+    state = PipelineState(result=FlowResult(design=spec.name, options=options,
+                                            seed=flow_seed), spec=spec)
+    for stage, seeds in zip(stages, stage_seeds):
+        if stage.name == "place":
+            return state.netlist, state.floorplan, seeds[0]
+        stage.run(state, options, seeds)
+    raise AssertionError("the flow has no place stage")
+
+
+@pytest.mark.parametrize("design", sorted(DRIVER_CLASSES))
+@pytest.mark.parametrize("flow_seed", (1, 2))
+def test_flow_placement_identical_to_dense_solve(design, flow_seed):
+    """The CG tolerance is tight enough that every corpus flow legalizes
+    exactly as the dense solve did (at 1e-6, three of these move cells)."""
+    netlist, fp, seed = _before_place(design, flow_seed)
+    fast = QuadraticPlacer().place(netlist, fp, seed=seed)
+    reference = ReferenceQuadraticPlacer().place(netlist, fp, seed=seed)
+    _positions_equal(fast, reference)
 
 
 @pytest.mark.parametrize("design", sorted(SPECS))
