@@ -5,19 +5,26 @@ The optimizer's inner loop is the dominant timing consumer in the flow
 benchmark runs :class:`~repro.eda.opt.TimingOptimizer` to convergence
 on the PULPino profile twice from identical starting states:
 
-- ``incremental=False``: the historical behaviour — every pass pays a
-  full STA run (the ``analyze``-per-pass loop);
-- ``incremental=True``: one ``full_propagate`` up front, then each
-  pass's touched instances go through ``TimingGraph.update`` and only
-  the dirty fanout cones are re-propagated.
+- full: the historical behaviour — every pass pays a full STA run.
+  This is the frozen ``ReferenceTimingOptimizer`` from
+  ``tests/eda/sta_reference.py`` driving the frozen ``GraphSTA``
+  through ``analyze``; its proxy is summed from each pass's report;
+- incremental: the live optimizer — one ``full_propagate`` up front,
+  then each pass's touched instances go through ``TimingGraph.update``,
+  which charges only their dirty fanout cones.
 
 Checks (exit code 1 on failure):
 
 - final QoR is **bit-identical**: same WNS, same endpoint slacks, same
   upsize/downsize/VT-swap decisions, same area and leakage deltas —
   the incremental path is a pure cost optimization;
+- the full side's summed proxy equals the live run's
+  ``StaStats.proxy_full_equivalent`` (what full re-runs would cost);
 - the incremental run executes >= 2x less timing ``runtime_proxy``
   than the full-analysis run (``StaStats.proxy_executed``).
+
+The wall time of both sides is printed and recorded (``wall_full_s``,
+``wall_incremental_s``) but not gated.
 
 Smoke mode (``--smoke``) shrinks the design so the whole benchmark
 runs in a few seconds for CI while still asserting everything above.
@@ -34,7 +41,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import os
 import sys
+import time
 
 from repro.bench.generators import pulpino_profile
 from repro.eda.cts import ClockTreeSynthesizer
@@ -45,6 +54,12 @@ from repro.eda.placement import QuadraticPlacer
 from repro.eda.routing import GlobalRouter
 from repro.eda.sta import GraphSTA
 from repro.eda.synthesis import synthesize
+
+# the frozen reference lives in the test tree (repo root on sys.path)
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.eda import sta_reference as ref  # noqa: E402
+
+OPTIMIZER = dict(max_passes=30, cells_per_pass=8, guardband=10.0)
 
 
 def build_state(scale: float, seed: int):
@@ -59,14 +74,26 @@ def build_state(scale: float, seed: int):
     return netlist, placement, clock_tree.skews, congestion
 
 
-def run_optimizer(state, clock_period: float, seed: int, incremental: bool):
+def run_incremental(state, clock_period: float, seed: int):
+    """The live optimizer; returns (result, wall seconds)."""
     netlist, placement, skews, congestion = copy.deepcopy(state)
-    result = TimingOptimizer(max_passes=30, cells_per_pass=8,
-                             guardband=10.0).optimize(
-        netlist, placement, clock_period, GraphSTA(), skews, congestion,
-        seed, incremental=incremental,
+    t0 = time.perf_counter()
+    result = TimingOptimizer(**OPTIMIZER).optimize(
+        netlist, placement, clock_period, GraphSTA(), skews, congestion, seed,
     )
-    return result
+    return result, time.perf_counter() - t0
+
+
+def run_full(state, clock_period: float, seed: int):
+    """The frozen full-reanalysis loop; returns (result, summed proxy,
+    wall seconds)."""
+    netlist, placement, skews, congestion = copy.deepcopy(state)
+    metered = ref.MeteredSTA(ref.GraphSTA())
+    t0 = time.perf_counter()
+    result = ref.ReferenceTimingOptimizer(**OPTIMIZER).optimize(
+        netlist, placement, clock_period, metered, skews, congestion, seed,
+    )
+    return result, metered.proxy, time.perf_counter() - t0
 
 
 def main(argv=None) -> int:
@@ -101,8 +128,8 @@ def main(argv=None) -> int:
     print(f"pulpino scale={scale} ({n_insts} instances), clock={clock:.0f} ps, "
           f"seed={args.seed}")
 
-    full = run_optimizer(state, clock, args.seed, incremental=False)
-    incr = run_optimizer(state, clock, args.seed, incremental=True)
+    full, work_full, wall_full = run_full(state, clock, args.seed)
+    incr, wall_incr = run_incremental(state, clock, args.seed)
 
     # --- QoR bit-identity -------------------------------------------------
     same_wns = full.final_report.wns == incr.final_report.wns
@@ -130,11 +157,12 @@ def main(argv=None) -> int:
           "area/leakage deltas)")
 
     # --- cost ------------------------------------------------------------
-    work_full = full.sta_stats.proxy_executed
     work_incr = incr.sta_stats.proxy_executed
     ratio = work_full / work_incr if work_incr else float("inf")
     print(f"timing runtime_proxy: full={work_full:.0f} incr={work_incr:.0f} "
           f"-> {ratio:.2f}x less timing work")
+    print(f"wall: full={wall_full:.3f} s incr={wall_incr:.3f} s "
+          f"(reported, not gated)")
     print(f"incremental kernel: {incr.sta_stats.full_propagates} full "
           f"propagations, {incr.sta_stats.incremental_updates} updates, "
           f"{incr.sta_stats.nodes_propagated} nodes re-propagated "
@@ -154,8 +182,15 @@ def main(argv=None) -> int:
             "work_ratio": round(ratio, 2),
             "updates": incr.sta_stats.incremental_updates,
             "qor_identical": qor_identical,
+            "wall_full_s": round(wall_full, 4),
+            "wall_incremental_s": round(wall_incr, 4),
         })
         print(f"wrote 'incremental' section to {args.json}")
+    if incr.sta_stats.proxy_full_equivalent != work_full:
+        print(f"FAIL: the live proxy_full_equivalent "
+              f"({incr.sta_stats.proxy_full_equivalent:.1f}) differs from "
+              f"the full loop's summed proxy ({work_full:.1f})")
+        return 1
     if incr.sta_stats.incremental_updates < 1:
         print("FAIL: the incremental path never exercised update()")
         return 1

@@ -42,6 +42,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from vectorized_sta_benchmark import merge_json  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: required warm/cold speedup
+MIN_SPEEDUP = 5.0
 
 
 def report_key(report):
@@ -65,8 +67,6 @@ def main(argv=None) -> int:
                         help="tree to lint (default: src/repro)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repetitions (best-of)")
-    parser.add_argument("--min-speedup", type=float, default=5.0,
-                        help="required warm/cold speedup")
     parser.add_argument("--smoke", action="store_true",
                         help="fewer repetitions (CI); same assertions")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -107,9 +107,9 @@ def main(argv=None) -> int:
         if cache["misses"] != 0:
             failures.append(f"warm run missed the cache "
                             f"{cache['misses']} time(s)")
-        if speedup < args.min_speedup:
+        if speedup < MIN_SPEEDUP:
             failures.append(f"warm speedup {speedup:.1f}x below the "
-                            f"{args.min_speedup:.1f}x floor")
+                            f"{MIN_SPEEDUP:.1f}x floor")
 
         n_files = warm.n_files
         print(f"lint --project over {n_files} files: "

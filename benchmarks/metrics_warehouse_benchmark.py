@@ -13,10 +13,14 @@ Checks (exit code 1 on failure):
 
 - every query answer is identical between the two backends
   (``bit_identical``: runs lists, per-run vectors, matrix contents);
-- the sqlite session clears ``--min-speedup`` (default 3x) over the
-  JSONL-reload session.
+- the sqlite session clears ``MIN_SPEEDUP`` (3x) over the JSONL-reload
+  session.
 
-Timings are best-of ``--repeats`` to shrug off CI load spikes.
+The two sessions are timed in interleaved pairs (``--pairs``, 9 in
+smoke mode; the backend that goes first alternates), and the gate reads
+the median of the per-pair ratios, so a load spike hits both sides of a
+pair instead of one side's whole block.  The reported ``jsonl_ms`` /
+``sqlite_ms`` are the per-side medians.
 ``--json PATH`` merges a machine-readable summary into ``PATH`` under
 the ``"metrics"`` key (see ``make bench-trajectory``); ``--smoke``
 shrinks the stream and repetitions for CI while keeping every
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -44,6 +49,9 @@ from vectorized_sta_benchmark import merge_json  # noqa: E402
 
 BASIS = ["flow.area", "flow.achieved_ghz", "signoff.wns", "place.hpwl"]
 CAMPAIGNS = ("c0", "c1", "c2", "c3")
+#: required sqlite-vs-jsonl-reload speedup (median per-pair ratio)
+MIN_SPEEDUP = 3.0
+SMOKE_PAIRS = 9
 
 
 def make_records(n_runs, seed=0):
@@ -93,10 +101,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=800,
                         help="flow runs in the synthetic archive")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repetitions (best-of)")
-    parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="required sqlite-vs-jsonl-reload speedup")
+    parser.add_argument("--pairs", type=int, default=15,
+                        help="interleaved jsonl/sqlite session pairs "
+                             "(the gate reads the median ratio)")
     parser.add_argument("--smoke", action="store_true",
                         help="smaller archive, fewer repetitions (CI); "
                              "same assertions")
@@ -104,7 +111,7 @@ def main(argv=None) -> int:
                         help="merge a 'metrics' summary section into PATH")
     args = parser.parse_args(argv)
     n_runs = 200 if args.smoke else args.runs
-    repeats = 2 if args.smoke else args.repeats
+    pairs = SMOKE_PAIRS if args.smoke else args.pairs
 
     from repro.metrics import JsonlStore, SqliteStore
 
@@ -123,37 +130,47 @@ def main(argv=None) -> int:
             store.ingest(records)
         sqlite_ingest_s = time.perf_counter() - t0
 
-        jsonl_s = float("inf")
-        jsonl_answers = None
-        for _ in range(repeats):
+        def timed(store_cls, path):
+            """One query session (a JSONL one is the legacy reload);
+            returns (answers, seconds)."""
             t0 = time.perf_counter()
-            with JsonlStore(jsonl_path) as store:  # the legacy reload
-                jsonl_answers = query_session(store)
-            jsonl_s = min(jsonl_s, time.perf_counter() - t0)
+            with store_cls(path) as store:
+                answers = query_session(store)
+            return answers, time.perf_counter() - t0
 
-        sqlite_s = float("inf")
-        sqlite_answers = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            with SqliteStore(sqlite_path) as store:
-                sqlite_answers = query_session(store)
-            sqlite_s = min(sqlite_s, time.perf_counter() - t0)
+        timed(JsonlStore, jsonl_path)  # warm both paths once, untimed
+        timed(SqliteStore, sqlite_path)
+        jsonl_times, sqlite_times, ratios = [], [], []
+        for k in range(pairs):
+            if k % 2:
+                sqlite_answers, t_sqlite = timed(SqliteStore, sqlite_path)
+                jsonl_answers, t_jsonl = timed(JsonlStore, jsonl_path)
+            else:
+                jsonl_answers, t_jsonl = timed(JsonlStore, jsonl_path)
+                sqlite_answers, t_sqlite = timed(SqliteStore, sqlite_path)
+            jsonl_times.append(t_jsonl)
+            sqlite_times.append(t_sqlite)
+            ratios.append(t_jsonl / t_sqlite if t_sqlite > 0 else float("inf"))
+        jsonl_s = statistics.median(jsonl_times)
+        sqlite_s = statistics.median(sqlite_times)
 
         bit_identical = jsonl_answers == sqlite_answers
-        speedup = jsonl_s / sqlite_s if sqlite_s > 0 else float("inf")
+        speedup = statistics.median(ratios)
 
         if not bit_identical:
             failures.append("sqlite answers differ from the JSONL reload")
-        if speedup < args.min_speedup:
+        if speedup < MIN_SPEEDUP:
             failures.append(f"warehouse speedup {speedup:.1f}x below the "
-                            f"{args.min_speedup:.1f}x floor")
+                            f"{MIN_SPEEDUP:.1f}x floor")
 
         print(f"archive: {len(records)} records over {n_runs} runs, "
               f"{len(CAMPAIGNS)} campaigns "
               f"(ingest: jsonl {jsonl_ingest_s * 1e3:.1f} ms, "
               f"sqlite {sqlite_ingest_s * 1e3:.1f} ms)")
-        print(f"query session: jsonl reload {jsonl_s * 1e3:.1f} ms, "
-              f"sqlite {sqlite_s * 1e3:.1f} ms ({speedup:.1f}x), "
+        print(f"query session, median of {pairs} pairs: jsonl reload "
+              f"{jsonl_s * 1e3:.1f} ms, sqlite {sqlite_s * 1e3:.1f} ms, "
+              f"per-pair ratio {speedup:.1f}x (range {min(ratios):.1f}-"
+              f"{max(ratios):.1f}x), "
               f"identical={'yes' if bit_identical else 'NO'}")
 
         if args.json:

@@ -90,6 +90,8 @@ from tests.eda.routing_reference import ReferenceGlobalRouter  # noqa: E402
 QUADRATIC_SCALE = 4.0
 SOLVE_ATOL = 1e-9  # analytic closeness, as a fraction of the core width
 MIN_QUADRATIC_SPEEDUP = 3.0  # full place(), live vs the dense reference
+MIN_ANNEAL_SPEEDUP = 5.0  # annealer, live vs the frozen reference
+MIN_GROUTE_SPEEDUP = 3.0  # global route, live vs the frozen reference
 N_GATES = 1600
 N_CONTROLS = 6
 DATA_WINDOW = 24
@@ -255,10 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="flow seed")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repetitions (best-of)")
-    parser.add_argument("--min-anneal-speedup", type=float, default=5.0,
-                        help="required annealer fast/reference speedup")
-    parser.add_argument("--min-groute-speedup", type=float, default=3.0,
-                        help="required global-route fast/reference speedup")
     parser.add_argument("--smoke", action="store_true",
                         help="CI run: fewer repetitions, same assertions")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -324,8 +322,8 @@ def main(argv=None) -> int:
         })
     if not anneal_ok:
         ok = False
-    if anneal_speedup < args.min_anneal_speedup:
-        print(f"FAIL: expected >= {args.min_anneal_speedup:.1f}x annealer "
+    if anneal_speedup < MIN_ANNEAL_SPEEDUP:
+        print(f"FAIL: expected >= {MIN_ANNEAL_SPEEDUP:.1f}x annealer "
               f"speedup, got {anneal_speedup:.1f}x")
         ok = False
 
@@ -356,16 +354,16 @@ def main(argv=None) -> int:
         print(f"wrote 'quadratic', 'annealer' and 'groute' sections to {args.json}")
     if not route_ok:
         ok = False
-    if route_speedup < args.min_groute_speedup:
-        print(f"FAIL: expected >= {args.min_groute_speedup:.1f}x "
+    if route_speedup < MIN_GROUTE_SPEEDUP:
+        print(f"FAIL: expected >= {MIN_GROUTE_SPEEDUP:.1f}x "
               f"global-route speedup, got {route_speedup:.1f}x")
         ok = False
 
     if ok:
         print(f"OK: placer >= {MIN_QUADRATIC_SPEEDUP:.1f}x at a solve "
               f"within {SOLVE_ATOL:g} x core width; annealer >= "
-              f"{args.min_anneal_speedup:.1f}x and groute >= "
-              f"{args.min_groute_speedup:.1f}x at bitwise-identical results")
+              f"{MIN_ANNEAL_SPEEDUP:.1f}x and groute >= "
+              f"{MIN_GROUTE_SPEEDUP:.1f}x at bitwise-identical results")
     return 0 if ok else 1
 
 

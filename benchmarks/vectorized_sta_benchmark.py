@@ -1,22 +1,23 @@
 """Vectorized-STA benchmark: full_propagate, struct-of-arrays vs scalar.
 
-The STA kernel's ``full_propagate`` was rewritten as flat numpy
-struct-of-arrays sweeps (levelized frontier arrays, CSR fanin segments
-with ``reduceat`` merges, batched delay-policy evaluation).  This
-benchmark builds the **largest corpus design** (the GPU shader profile)
-through placement and global routing, then times ``full_propagate`` on
-both kernels from the same inputs:
+The STA kernel's ``full_propagate`` is a flat numpy struct-of-arrays
+sweep (levelized frontier arrays, CSR fanin segments with ``reduceat``
+merges, batched delay-policy evaluation).  This benchmark builds the
+**largest corpus design** (the GPU shader profile) through placement
+and global routing, then times two kernels from the same inputs:
 
-- ``vectorize=True``: the struct-of-arrays numpy kernel (the default);
-- ``vectorize=False``: the historical scalar dict-and-loop kernel,
-  kept as an honest comparator (plain dicts, no array façades).
+- the live ``TimingGraph.full_propagate``;
+- ``propagate_scalar`` from ``tests/eda/sta_reference.py``: the frozen
+  historical per-node dict-and-loop kernel over the same topology and
+  delay policy, kept as an honest comparator.
 
 Checks (exit code 1 on failure):
 
 - every propagated state map (late/early arrivals, slews, predecessor
-  chains) and the resulting :class:`TimingReport` are **bit-identical**
-  across the two kernels, for both engines at the signoff corner mix;
-- the vectorized kernel is >= 5x faster on ``full_propagate``.
+  chains) is **bit-identical** across the two kernels, and the live
+  :class:`TimingReport` equals the frozen reference engine's, for both
+  engines at the signoff corner mix;
+- the vectorized kernel is >= ``MIN_SPEEDUP`` (5x) faster.
 
 ``--json PATH`` merges a machine-readable summary into ``PATH`` under
 the ``"vectorized"`` key (see ``make bench-trajectory``); ``--smoke``
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -47,7 +49,13 @@ from repro.eda.routing import GlobalRouter
 from repro.eda.sta import GraphSTA, SignoffSTA, SLOW
 from repro.eda.synthesis import synthesize
 
+# the frozen reference lives in the test tree (repo root on sys.path)
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.eda import sta_reference as ref  # noqa: E402
+
 CLOCK = 1100.0
+#: required live/frozen-scalar full-propagation speedup
+MIN_SPEEDUP = 5.0
 STATE_MAPS = ("_arrival", "_arrival_min", "_slew", "_pred")
 
 
@@ -63,13 +71,13 @@ def build_state(seed: int):
     return netlist, placement, clock_tree.skews, congestion
 
 
-def time_full_propagate(graph, repeats: int) -> float:
-    """Best-of-``repeats`` seconds for one ``full_propagate`` call."""
-    graph.full_propagate()  # warm: SoA build, cell registry, allocations
+def best_of(propagate, repeats: int) -> float:
+    """Best-of-``repeats`` seconds for one ``propagate()`` call."""
+    propagate()  # warm: SoA build, cell registry, allocations
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        graph.full_propagate()
+        propagate()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -111,8 +119,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="flow seed")
     parser.add_argument("--repeats", type=int, default=20,
                         help="timing repetitions (best-of)")
-    parser.add_argument("--min-speedup", type=float, default=5.0,
-                        help="required vectorized/scalar speedup")
     parser.add_argument("--smoke", action="store_true",
                         help="CI run: fewer repetitions, same assertions")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -127,34 +133,28 @@ def main(argv=None) -> int:
 
     # --- bit-identity across both engines --------------------------------
     identical = True
-    for engine in (GraphSTA(SLOW), SignoffSTA(SLOW)):
-        pair = {}
-        for vectorize in (True, False):
-            g = engine.build_graph(netlist, placement, skews=skews,
-                                   congestion=congestion, check_hold=True,
-                                   vectorize=vectorize)
-            g.full_propagate()
-            pair[vectorize] = g
-        if not states_identical(pair[True], pair[False]):
+    references = (ref.GraphSTA(ref.SLOW), ref.SignoffSTA(ref.SLOW))
+    for engine, reference in zip((GraphSTA(SLOW), SignoffSTA(SLOW)), references):
+        g = engine.build_graph(netlist, placement, skews=skews,
+                               congestion=congestion, check_hold=True)
+        g.full_propagate()
+        if not states_identical(g, ref.propagate_scalar(g)):
             identical = False
-        if not reports_identical(pair[True].report(CLOCK),
-                                 pair[False].report(CLOCK)):
-            print(f"FAIL: {engine.engine_name} reports differ between kernels")
+        want = reference.analyze(netlist, placement, CLOCK, skews, congestion,
+                                 check_hold=True)
+        if not reports_identical(g.report(CLOCK), want):
+            print(f"FAIL: {engine.engine_name} report differs from the "
+                  f"frozen reference")
             identical = False
     if identical:
         print("bit-identical: state maps and reports, both engines "
               "(signoff corner, hold + PBA)")
 
     # --- wall clock -------------------------------------------------------
-    signoff = SignoffSTA(SLOW)
-    t_vec = time_full_propagate(
-        signoff.build_graph(netlist, placement, skews=skews,
-                            congestion=congestion, check_hold=True,
-                            vectorize=True), repeats)
-    t_scalar = time_full_propagate(
-        signoff.build_graph(netlist, placement, skews=skews,
-                            congestion=congestion, check_hold=True,
-                            vectorize=False), repeats)
+    graph = SignoffSTA(SLOW).build_graph(netlist, placement, skews=skews,
+                                         congestion=congestion, check_hold=True)
+    t_vec = best_of(graph.full_propagate, repeats)
+    t_scalar = best_of(lambda: ref.propagate_scalar(graph), repeats)
     speedup = t_scalar / t_vec if t_vec > 0 else float("inf")
     print(f"full_propagate: scalar={t_scalar * 1e3:.2f} ms  "
           f"vectorized={t_vec * 1e3:.2f} ms  -> {speedup:.1f}x")
@@ -172,11 +172,11 @@ def main(argv=None) -> int:
 
     if not identical:
         return 1
-    if speedup < args.min_speedup:
-        print(f"FAIL: expected >= {args.min_speedup:.1f}x speedup, "
+    if speedup < MIN_SPEEDUP:
+        print(f"FAIL: expected >= {MIN_SPEEDUP:.1f}x speedup, "
               f"got {speedup:.1f}x")
         return 1
-    print(f"OK: >= {args.min_speedup:.1f}x faster at bitwise-identical reports")
+    print(f"OK: >= {MIN_SPEEDUP:.1f}x faster at bitwise-identical reports")
     return 0
 
 

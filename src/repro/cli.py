@@ -359,7 +359,7 @@ def _cmd_metrics_summary(args) -> int:
             saved = sum(by_metric.get("sta.incremental.proxy_saved", []))
             nodes = sum(by_metric.get("sta.incremental.nodes", []))
             print(f"timing: {sta_incr:.0f} incremental updates vs {sta_full:.0f} "
-                  f"full propagations ({nodes:.0f} nodes re-propagated, "
+                  f"full propagations ({nodes:.0f} cone nodes charged, "
                   f"{saved:.0f} work units saved)")
         kills = sum(by_metric.get("exec.killed.run", []))
         if kills:

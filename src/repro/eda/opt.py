@@ -13,14 +13,13 @@ the mechanism behind the paper's Fig 3.  The miscorrelation experiment
 (Sec 3.2) also uses this engine: pessimistic guardbands force it to do
 *unneeded* sizing work, costing area and power.
 
-Since the :mod:`repro.eda.sta` refactor the optimizer queries timing
-*incrementally*: each surgery pass reports the instances it touched,
-and the shared :class:`~repro.eda.sta.graph.TimingGraph` re-propagates
-only their forward cones instead of re-running full STA.  Reports (and
+The optimizer queries timing *incrementally*: it keeps one
+:class:`~repro.eda.sta.graph.TimingGraph` alive, each surgery pass
+reports the instances it touched, and ``TimingGraph.update`` re-sweeps
+the graph while charging only their dirty cones.  Reports (and
 therefore every sizing decision) are bit-identical to the historical
-full-reanalysis loop; only the ``runtime_proxy`` charged per query
-shrinks.  Pass ``incremental=False`` to run the historical loop —
-the benchmark uses it as the cost baseline.
+full-reanalysis loop (``tests/eda/sta_reference.py``); only the
+``runtime_proxy`` charged per query shrinks.
 """
 
 from __future__ import annotations
@@ -89,39 +88,27 @@ class TimingOptimizer:
         skews: Optional[Dict[str, float]] = None,
         congestion=None,
         seed: Optional[int] = None,
-        incremental: bool = True,
         graph: Optional[TimingGraph] = None,
     ) -> OptResult:
         """Close timing (then recover power) against one timer.
 
-        With ``incremental=True`` (default) the loop keeps one
-        :class:`TimingGraph` alive and re-propagates only the cones of
-        touched instances between passes; ``incremental=False`` re-runs
-        ``sta.analyze`` per pass (the historical behavior, kept as the
-        cost baseline).  An already-built ``graph`` for the same
-        (netlist, placement) may be passed to skip reconstruction — the
-        stage layer threads one through :class:`PipelineState`.
+        The loop keeps one :class:`TimingGraph` alive and updates it
+        with the touched instances between passes.  An already-built
+        ``graph`` for the same (netlist, placement) may be passed to
+        skip reconstruction — the stage layer threads one through
+        :class:`PipelineState`.
         """
         rng = np.random.default_rng(seed)
         area_before = netlist.total_area
         leak_before = netlist.total_leakage
         result = OptResult(passes=0)
 
-        if incremental:
-            if graph is None:
-                graph = sta.build_graph(
-                    netlist, placement, skews=skews, congestion=congestion
-                )
-            stats = graph.stats
-            graph.full_propagate()
-            report = graph.report(clock_period)
-        else:
-            graph = None
-            stats = StaStats()
-            report = sta.analyze(netlist, placement, clock_period, skews, congestion)
-            stats.full_propagates += 1
-            stats.proxy_executed += report.runtime_proxy
-            stats.proxy_full_equivalent += report.runtime_proxy
+        if graph is None:
+            graph = sta.build_graph(
+                netlist, placement, skews=skews, congestion=congestion
+            )
+        graph.full_propagate()
+        report = graph.report(clock_period)
 
         worst = report.worst_endpoint()
         result.history.append(worst.slack if worst is not None else float("inf"))
@@ -137,14 +124,8 @@ class TimingOptimizer:
                 touched = []
             if not touched:
                 break
-            if graph is not None:
-                graph.update(touched)
-                report = graph.report(clock_period)
-            else:
-                report = sta.analyze(netlist, placement, clock_period, skews, congestion)
-                stats.full_propagates += 1
-                stats.proxy_executed += report.runtime_proxy
-                stats.proxy_full_equivalent += report.runtime_proxy
+            graph.update(touched)
+            report = graph.report(clock_period)
             worst = report.worst_endpoint()
             result.history.append(worst.slack if worst is not None else float("inf"))
             if (
@@ -157,7 +138,7 @@ class TimingOptimizer:
         result.final_report = report
         result.area_delta = netlist.total_area - area_before
         result.leakage_delta = netlist.total_leakage - leak_before
-        result.sta_stats = stats
+        result.sta_stats = graph.stats
         return result
 
     # ------------------------------------------------------------------
@@ -253,17 +234,15 @@ class TimingOptimizer:
         skews: Optional[Dict[str, float]] = None,
         max_buffers: int = 64,
         max_passes: int = 10,
-        incremental: bool = True,
     ) -> int:
         """Pad short paths with delay buffers until hold is met.
 
         Each pass re-checks hold and inserts one slow (HVT X1) buffer
         in front of every violating flop's D pin; newly inserted
-        buffers sit at the flop's own location.  With ``incremental=
-        True`` only the spliced cones are re-propagated between passes.
-        Returns the number of buffers inserted.  Raises RuntimeError if
-        hold cannot be closed within the buffer budget (a real tool
-        would escalate).
+        buffers sit at the flop's own location.  One timing graph is
+        updated with each pass's splices.  Returns the number of
+        buffers inserted.  Raises RuntimeError if hold cannot be closed
+        within the buffer budget (a real tool would escalate).
         """
         if max_buffers < 1:
             raise ValueError("max_buffers must be >= 1")
@@ -271,18 +250,11 @@ class TimingOptimizer:
         buffer_cell = lib.pick("BUF", 1, "HVT")
         inserted = 0
 
-        graph: Optional[TimingGraph] = None
-        if incremental:
-            graph = sta.build_graph(netlist, placement, skews=skews, check_hold=True)
-            graph.full_propagate()
-
-        def hold_report():
-            if graph is not None:
-                return graph.report(clock_period)
-            return sta.analyze(netlist, placement, clock_period, skews, check_hold=True)
+        graph = sta.build_graph(netlist, placement, skews=skews, check_hold=True)
+        graph.full_propagate()
 
         for _ in range(max_passes):
-            report = hold_report()
+            report = graph.report(clock_period)
             violating = [
                 name
                 for name, ep in report.endpoints.items()
@@ -305,9 +277,8 @@ class TimingOptimizer:
                 placement.positions[buf.name] = placement.positions[flop_name]
                 touched.append(buf.name)
                 inserted += 1
-            if graph is not None:
-                graph.update(touched)
-        report = hold_report()
+            graph.update(touched)
+        report = graph.report(clock_period)
         if report.n_hold_violations:
             raise RuntimeError("hold not closed within the pass budget")
         return inserted

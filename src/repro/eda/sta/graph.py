@@ -1,22 +1,25 @@
-"""The incremental STA kernel: a levelized timing graph over a netlist.
+"""The STA kernel: a levelized timing graph over a netlist.
 
 :class:`TimingGraph` is the artifact the rest of the substrate queries
 for timing.  It is constructed once from (netlist, placement,
 congestion) plus a delay-model policy, propagates arrivals with
 :meth:`TimingGraph.full_propagate`, and then answers *edits* with
-:meth:`TimingGraph.update` — dirty-set invalidation that re-levels and
-re-propagates only the forward fanout cones (and predecessor load
-deltas) of the touched instances.  ``runtime_proxy`` is charged by the
-nodes actually propagated, so the Fig-8 cost axis stays honest while
-an optimizer loop queries timing incrementally.
+:meth:`TimingGraph.update`.  Both run one vectorized kernel: the
+topology exposes a struct-of-arrays view (:class:`_TopoSoA` — per-net
+rows, a CSR of combinational fanin edges sorted by level, sink
+segments for load accumulation) and the kernel evaluates whole levels
+at a time with numpy segment reductions.
 
-Full propagation is vectorized: the topology exposes a struct-of-arrays
-view (:class:`_TopoSoA` — per-net rows, a CSR of combinational fanin
-edges sorted by level, sink segments for load accumulation) and
-``full_propagate`` evaluates whole levels at a time with numpy segment
-reductions.  Dirty-cone ``update`` stays scalar — cones are small, and
-the scalar per-node methods remain the single definition the vector
-kernel must match.
+``update`` differs from ``full_propagate`` only in what it charges.
+``runtime_proxy`` models a commercial incremental timer, which
+recomputes the dirty cone of an edit: the seeds named by the
+invalidation rules below, plus every combinational sink of a net whose
+``(arrival, slew, arrival_min)`` state changed.  A node outside that
+set sees bitwise-identical inputs and keeps its value, so the cone is
+read off a diff of the state before and after the sweep, and it is
+exactly the node set a worklist walk that stops at unchanged nodes
+would recompute.  The Fig-8 cost axis therefore stays honest while an
+optimizer loop queries timing incrementally.
 
 Bit-identity with the historical full-run engines is a hard contract
 (enforced against ``tests/eda/sta_reference.py``): every per-node
@@ -28,32 +31,27 @@ that contract because
   (no pairwise summation), matching the Python ``sum`` over each net's
   sinks and the per-node input loops;
 - per-level elementwise expressions are written with the same
-  association order as the scalar methods, so each float operation is
-  the identical IEEE-754 operation;
+  association order as the historical per-node loop, so each float
+  operation is the identical IEEE-754 operation;
 - level-by-level evaluation is equivalent to topological-order
   evaluation (every input of a level-L node is produced at a lower
   level, by a sequential output, or at a primary input).
 
-An incremental update stops propagating exactly where recomputed
-``(arrival, slew)`` values are bitwise unchanged — recomputing a node
-whose inputs are bitwise identical reproduces its old value bitwise,
-so pruned cones cannot diverge from a from-scratch run.
+Invalidation rules — the seeds of the charged cone (see
+docs/substrate.md for the narrative version):
 
-Invalidation rules (see docs/substrate.md for the narrative version):
-
-- **cell swap** (``replace_cell``): dirty = the instance itself plus
-  the drivers of its input nets (their output load changed through the
-  new input capacitance).  Net lengths are untouched.
+- **cell swap** (``replace_cell``): the instance itself plus the
+  drivers of its input nets (their output load changed through the new
+  input capacitance).  Net lengths are untouched.
 - **buffer splice** (``insert_buffer``): the spliced net's length and
-  load both change, so dirty = the new buffer, the spliced net's
-  driver, and *all* of its combinational sinks (their input wire
-  delays see the new length); the buffer is levelized into the graph
-  and downstream levels are raised along the forward cone only.
+  load both change, so the seeds are the new buffer, the drivers of
+  the nets it touches and *all* of their combinational sinks (their
+  input wire delays see the new length).  A splice moves the netlist's
+  ``structure_version``, so the update rebuilds the topology first.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -73,13 +71,13 @@ class StaStats:
 
     full_propagates: int = 0
     incremental_updates: int = 0
-    nodes_propagated: int = 0  # nodes recomputed by incremental updates
+    nodes_propagated: int = 0  # dirty-cone nodes charged by incremental updates
     proxy_executed: float = 0.0  # runtime_proxy actually charged
     proxy_full_equivalent: float = 0.0  # what full re-runs would have cost
 
     @property
     def proxy_saved(self) -> float:
-        """Work units avoided by propagating dirty cones instead of everything."""
+        """Work units avoided by charging dirty cones instead of full re-runs."""
         return max(0.0, self.proxy_full_equivalent - self.proxy_executed)
 
     def add(self, other: "StaStats") -> None:
@@ -124,51 +122,29 @@ class _NetIndex:
                 ids[name] = len(names)
                 names.append(name)
 
-    def add(self, name: str) -> int:
-        row = self.ids.get(name)
-        if row is None:
-            row = len(self.names)
-            self.ids[name] = row
-            self.names.append(name)
-        return row
-
 
 class _NetValueMap:
-    """``{net name: float}`` façade over a flat per-net value array.
+    """Read-only ``{net name: float}`` view of a flat per-net value array.
 
-    Implements the dict surface the scalar compute methods and
-    ``report()`` use (``get``/``[]``/``in``/iteration), with presence
-    tracked in a boolean mask so absent keys behave exactly like
-    missing dict entries.  Rows come from a shared :class:`_NetIndex`;
-    writes to nets spliced in after construction grow the backing
-    arrays on demand.
+    Implements the dict surface ``report()`` and the tests use
+    (``get``/``[]``/``in``/iteration), with presence tracked in a
+    boolean mask so absent keys behave exactly like missing dict
+    entries.  Rows come from a shared :class:`_NetIndex`; nets appended
+    to the index after the arrays were built read as absent.
     """
 
-    __slots__ = ("_index", "values", "mask", "fill")
+    __slots__ = ("_index", "values", "mask")
 
     def __init__(
         self,
         index: _NetIndex,
-        fill: float = 0.0,
         values: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ):
         self._index = index
-        self.fill = fill
         n = len(index)
-        self.values = np.full(n, fill, dtype=float) if values is None else values
+        self.values = np.zeros(n) if values is None else values
         self.mask = np.zeros(n, dtype=bool) if mask is None else mask
-
-    def _grow(self) -> None:
-        n = len(self._index)
-        old = self.values.shape[0]
-        size = max(n, 2 * old, 8)
-        values = np.full(size, self.fill, dtype=float)
-        values[:old] = self.values
-        mask = np.zeros(size, dtype=bool)
-        mask[:old] = self.mask[:old]
-        self.values = values
-        self.mask = mask
 
     def __getitem__(self, key: str) -> float:
         row = self._index.ids.get(key)
@@ -181,19 +157,6 @@ class _NetValueMap:
         if row is None or row >= self.values.shape[0] or not self.mask[row]:
             return default
         return self.values.item(row)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        row = self._index.add(key)
-        if row >= self.values.shape[0]:
-            self._grow()
-        self.values[row] = value
-        self.mask[row] = True
-
-    def __delitem__(self, key: str) -> None:
-        row = self._index.ids.get(key)
-        if row is None or row >= self.values.shape[0] or not self.mask[row]:
-            raise KeyError(key)
-        self.mask[row] = False
 
     def __contains__(self, key: str) -> bool:
         row = self._index.ids.get(key)
@@ -212,9 +175,23 @@ class _NetValueMap:
         for key in self:
             yield key, self.values.item(self._index.ids[key])
 
+    def changed_since(self, old: "_NetValueMap") -> np.ndarray:
+        """Per-row mask of nets whose entry differs from ``old``'s.
+
+        A net present in only one of the two maps counts as changed, as
+        does every present net appended to the index since ``old`` was
+        built.  Values compare with ``!=`` (IEEE equality).
+        """
+        n_old = old.mask.shape[0]
+        changed = self.mask.copy()
+        changed[:n_old] = (old.mask != self.mask[:n_old]) | (
+            self.mask[:n_old] & (old.values != self.values[:n_old])
+        )
+        return changed
+
 
 class _NetPredMap:
-    """``{net name: Optional[net name]}`` façade over a per-net int array.
+    """Read-only ``{net name: Optional[net name]}`` view of a per-net int array.
 
     Row value ``-1`` encodes an explicit ``None`` entry (startpoints);
     presence is tracked separately in ``mask`` like :class:`_NetValueMap`.
@@ -233,17 +210,6 @@ class _NetPredMap:
         self.rows = np.full(n, -1, dtype=np.int64) if rows is None else rows
         self.mask = np.zeros(n, dtype=bool) if mask is None else mask
 
-    def _grow(self) -> None:
-        n = len(self._index)
-        old = self.rows.shape[0]
-        size = max(n, 2 * old, 8)
-        rows = np.full(size, -1, dtype=np.int64)
-        rows[:old] = self.rows
-        mask = np.zeros(size, dtype=bool)
-        mask[:old] = self.mask[:old]
-        self.rows = rows
-        self.mask = mask
-
     def _decode(self, row: int) -> Optional[str]:
         value = self.rows.item(row)
         return None if value < 0 else self._index.names[value]
@@ -259,19 +225,6 @@ class _NetPredMap:
         if row is None or row >= self.rows.shape[0] or not self.mask[row]:
             return default
         return self._decode(row)
-
-    def __setitem__(self, key: str, value: Optional[str]) -> None:
-        row = self._index.add(key)
-        if row >= self.rows.shape[0]:
-            self._grow()
-        self.rows[row] = -1 if value is None else self._index.add(value)
-        self.mask[row] = True
-
-    def __delitem__(self, key: str) -> None:
-        row = self._index.ids.get(key)
-        if row is None or row >= self.rows.shape[0] or not self.mask[row]:
-            raise KeyError(key)
-        self.mask[row] = False
 
     def __contains__(self, key: str) -> bool:
         row = self._index.ids.get(key)
@@ -508,12 +461,11 @@ class TimingGraph:
     """Levelized arrival/slew state for one (netlist, placement, policy).
 
     ``full_propagate()`` computes every node exactly as the historical
-    engines did — vectorized over struct-of-arrays state by default,
-    or with the per-node scalar loop when ``vectorize=False``;
-    ``update(changed)`` recomputes only the dirty cone;
-    ``report(clock_period)`` materializes endpoint slacks and charges
-    the policy's runtime proxy for the operations since the last query.
-    Both propagation modes produce bitwise-identical state.
+    engines did, vectorized over struct-of-arrays state;
+    ``update(changed)`` runs the same kernel after an edit but charges
+    only the dirty cone; ``report(clock_period)`` materializes endpoint
+    slacks and charges the policy's runtime proxy for the operations
+    since the last query.
     """
 
     def __init__(
@@ -525,7 +477,6 @@ class TimingGraph:
         congestion: Optional[np.ndarray] = None,
         check_hold: bool = False,
         topology: Optional[TimingTopology] = None,
-        vectorize: bool = True,
     ):
         self.netlist = netlist
         self.placement = placement
@@ -533,7 +484,6 @@ class TimingGraph:
         self.skews = skews or {}
         self.congestion = congestion
         self.check_hold = check_hold
-        self.vectorize = vectorize
         if (
             topology is None
             or topology.netlist is not netlist
@@ -542,14 +492,13 @@ class TimingGraph:
             topology = TimingTopology(netlist, placement)
         self.topology = topology
         self.stats = StaStats()
-        # per-net propagation state: plain dicts in scalar mode, array
-        # façades after a vectorized propagation — same mapping surface
-        self._net_load: Dict[str, float] = {}
-        self._arrival: Dict[str, float] = {}
-        self._slew: Dict[str, float] = {}
-        self._pred: Dict[str, Optional[str]] = {}
-        self._arrival_min: Dict[str, float] = {}
-        self._known: set = set()  # instance names levelized into the graph
+        # per-net propagation state, published by each sweep
+        index = topology.net_index
+        self._arrival = _NetValueMap(index)
+        self._slew = _NetValueMap(index)
+        self._pred = _NetPredMap(index)
+        self._arrival_min = _NetValueMap(index)
+        self._known: set = set()  # instance names in the last sweep
         self._propagated = False
         self._ops_pending = 0  # propagation ops since the last report()
         self._full_ops = 0  # ops one from-scratch propagation costs today
@@ -559,12 +508,6 @@ class TimingGraph:
         self._cell_data: List[Tuple[float, ...]] = []
         self._cell_matrix: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------
-    # per-node recomputation: these are the *only* places arrival/slew
-    # values are produced by the scalar paths (incremental update and
-    # vectorize=False propagation); the vectorized kernel mirrors each
-    # expression with identical association order, which is what makes
-    # bit-identity structural rather than coincidental.
     def _congestion_at(self, net_name: str) -> float:
         if self.congestion is None:
             return 0.0
@@ -579,167 +522,29 @@ class TimingGraph:
         j = bin_index(y, fp.height, ny)
         return float(self.congestion[j, i])
 
-    def _net_load_of(self, net_name: str) -> float:
-        netlist = self.netlist
-        net = netlist.nets[net_name]
-        load = sum(netlist.instances[s].cell.input_cap for s, _ in net.sinks)
-        if net_name in netlist.primary_outputs:
-            load += PO_LOAD
-        load += (
-            netlist.library.wire_c_per_um
-            * self.topology.net_len[net_name]
-            * self.policy.corner.wire_factor
-        )
-        return load
-
-    def _compute_seq(self, inst) -> int:
-        policy = self.policy
-        out = inst.output_net
-        launch = self.skews.get(inst.name, 0.0)
-        q_delay = DFF_CLK_TO_Q * policy.corner.delay_factor * policy.stage_derate()
-        load = self._net_load.get(out, 0.0)
-        cell = inst.cell
-        self._arrival[out] = (
-            launch + q_delay + cell.drive_resistance * load * policy.corner.delay_factor
-        )
-        self._slew[out] = cell.output_slew(load)
-        self._pred[out] = None
-        return 1
-
-    def _compute_comb(self, inst) -> int:
-        policy = self.policy
-        netlist = self.netlist
-        lib = netlist.library
-        net_len = self.topology.net_len
-        out = inst.output_net
-        load = self._net_load.get(out, 0.0)
-        cell = inst.cell
-        best_arr = -np.inf
-        best_net = None
-        in_slews = []
-        ops = 0
-        for net_name in inst.input_nets:
-            if net_name == netlist.clock_net:
-                continue
-            a_in = self._arrival.get(net_name, 0.0)
-            s_in = self._slew.get(net_name, PI_SLEW)
-            in_slews.append(s_in)
-            w_delay = policy.wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
-            w_delay += policy.si_bump(
-                net_len.get(net_name, 0.0), self._congestion_at(net_name)
-            )
-            cand = a_in + w_delay
-            ops += 1
-            if cand > best_arr:
-                best_arr = cand
-                best_net = net_name
-        s_in = policy.merge_slew(in_slews) if in_slews else PI_SLEW
-        gate_delay = cell.delay(load, s_in) * policy.corner.delay_factor * policy.stage_derate()
-        self._arrival[out] = best_arr + gate_delay
-        self._slew[out] = cell.output_slew(load)
-        self._pred[out] = best_net
-        return ops
-
-    def _compute_seq_min(self, inst) -> None:
-        policy = self.policy
-        out = inst.output_net
-        launch = self.skews.get(inst.name, 0.0)
-        load = self._net_load.get(out, 0.0)
-        self._arrival_min[out] = (
-            launch
-            + (DFF_CLK_TO_Q + inst.cell.drive_resistance * load)
-            * policy.corner.delay_factor
-            * policy.early_derate()
-        )
-
-    def _compute_comb_min(self, inst) -> int:
-        policy = self.policy
-        netlist = self.netlist
-        lib = netlist.library
-        net_len = self.topology.net_len
-        early = policy.early_derate()
-        out = inst.output_net
-        load = self._net_load.get(out, 0.0)
-        cell = inst.cell
-        fastest = np.inf
-        for net_name in inst.input_nets:
-            if net_name == netlist.clock_net:
-                continue
-            a_in = self._arrival_min.get(net_name, 0.0)
-            w_delay = policy.wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
-            fastest = min(fastest, a_in + w_delay * early)
-        if np.isinf(fastest):
-            fastest = 0.0
-        gate_delay = cell.delay(load, PI_SLEW) * policy.corner.delay_factor * early
-        self._arrival_min[out] = fastest + gate_delay
-        return 1
-
-    def _node_state(self, out_net: str) -> Tuple:
-        return (
-            self._arrival.get(out_net),
-            self._slew.get(out_net),
-            self._arrival_min.get(out_net),
-        )
-
     # ------------------------------------------------------------------
     def full_propagate(self) -> int:
         """Propagate every node from scratch; returns propagation ops.
 
         Computes nets, startpoints and combinational instances with
-        exactly the historical ``analyze`` float expressions (the
-        vectorized and scalar paths are bitwise interchangeable).  Also
+        exactly the historical ``analyze`` float expressions.  Also
         (re)builds the topology if the netlist's ``structure_version``
         moved since it was built.
         """
-        if self.topology.stale:
-            self.topology.rebuild()
-        if self.vectorize:
-            ops = self._propagate_vectorized()
-        else:
-            ops = self._propagate_scalar()
-        self._known = set(self.netlist.instances)
+        ops = self._propagate()
         self._propagated = True
-        self._full_ops = ops
         self._ops_pending = ops
         self.stats.full_propagates += 1
         return ops
 
-    def _propagate_scalar(self) -> int:
-        """The historical per-node propagation loop (reference path)."""
-        netlist = self.netlist
-        topo = self.topology
-        ops = 0
-
-        self._net_load = {}
-        for net_name in netlist.nets:
-            if net_name == netlist.clock_net:
-                continue
-            self._net_load[net_name] = self._net_load_of(net_name)
-
-        self._arrival = {}
-        self._slew = {}
-        self._pred = {}
-        self._arrival_min = {}
-        for pi in netlist.primary_inputs:
-            if pi == netlist.clock_net:
-                continue
-            self._arrival[pi] = 0.0
-            self._slew[pi] = PI_SLEW
-            self._pred[pi] = None
-        for inst in netlist.sequential_instances():
-            ops += self._compute_seq(inst)
-        for name in topo.order:
-            ops += self._compute_comb(netlist.instances[name])
-
-        if self.check_hold:
-            for pi in netlist.primary_inputs:
-                if pi != netlist.clock_net:
-                    self._arrival_min[pi] = 0.0
-            for inst in netlist.sequential_instances():
-                self._compute_seq_min(inst)
-            for name in topo.order:
-                ops += self._compute_comb_min(netlist.instances[name])
-
+    def _propagate(self) -> int:
+        """Rebuild a stale topology, sweep every node, and record the
+        cost of a from-scratch run; returns the sweep's ops."""
+        if self.topology.stale:
+            self.topology.rebuild()
+        ops = self._sweep()
+        self._known = set(self.netlist.instances)
+        self._full_ops = ops
         return ops
 
     # ------------------------------------------------------------------
@@ -804,7 +609,7 @@ class TimingGraph:
         cong[driven] = inst_cong[soa.net_driver_rows[driven]]
         return cong
 
-    def _propagate_vectorized(self) -> int:
+    def _sweep(self) -> int:
         netlist = self.netlist
         topo = self.topology
         policy = self.policy
@@ -921,192 +726,87 @@ class TimingGraph:
                 arrival_min[out_lv] = fastest + gate_min[seg.lo : seg.hi]
             ops += soa.n_comb
 
-        # publish array state behind the dict façades; presence matches
-        # the scalar dicts exactly (every non-clock net — each net is a
-        # primary input or an instance output)
+        # publish array state behind the dict views; every non-clock
+        # net is present (each net is a primary input or an instance
+        # output), exactly like the historical analyze() dicts
         mask = np.ones(n_nets, dtype=bool)
         if soa.clock_row >= 0:
             mask[soa.clock_row] = False
-        self._net_load = _NetValueMap(index, values=loads, mask=mask.copy())
-        self._arrival = _NetValueMap(index, values=arrival, mask=mask.copy())
-        self._slew = _NetValueMap(index, fill=PI_SLEW, values=slew, mask=mask.copy())
-        self._pred = _NetPredMap(index, rows=pred, mask=mask.copy())
+        self._arrival = _NetValueMap(index, values=arrival, mask=mask)
+        self._slew = _NetValueMap(index, values=slew, mask=mask)
+        self._pred = _NetPredMap(index, rows=pred, mask=mask)
         if arrival_min is not None:
-            self._arrival_min = _NetValueMap(index, values=arrival_min, mask=mask.copy())
+            self._arrival_min = _NetValueMap(index, values=arrival_min, mask=mask)
         else:
             self._arrival_min = _NetValueMap(index)
         return ops
 
     # ------------------------------------------------------------------
-    def _levelize_new(self, new_names: List[str]) -> None:
-        """Levelize instances spliced in since the last propagation and
-        raise downstream levels along their forward cones."""
-        netlist = self.netlist
-        level = self.topology.level
-        pending = list(new_names)
-        while pending:
-            progressed = []
-            stuck = []
-            for name in pending:
-                inst = netlist.instances[name]
-                if inst.cell.is_sequential:
-                    progressed.append(name)
-                    continue
-                best = 0
-                ok = True
-                for net_name in inst.input_nets:
-                    if net_name == netlist.clock_net:
-                        continue
-                    driver = netlist.nets[net_name].driver
-                    if driver is None or netlist.instances[driver].cell.is_sequential:
-                        continue
-                    if driver not in level:
-                        ok = False
-                        break
-                    best = max(best, level[driver])
-                if not ok:
-                    stuck.append(name)
-                    continue
-                level[name] = best + 1
-                progressed.append(name)
-            if not progressed:
-                raise RuntimeError(
-                    f"cannot levelize new instances {stuck}: "
-                    "combinational cycle or dangling driver"
-                )
-            pending = stuck
-        # raise levels forward so the worklist heap stays topological
-        queue = [n for n in new_names if n in level]
-        while queue:
-            name = queue.pop(0)
-            base = level[name]
-            out = netlist.instances[name].output_net
-            for sink_name, _ in netlist.nets[out].sinks:
-                sink = netlist.instances[sink_name]
-                if sink.cell.is_sequential:
-                    continue
-                if level[sink_name] <= base:
-                    level[sink_name] = base + 1
-                    queue.append(sink_name)
-
     def update(self, changed: Iterable[str]) -> int:
-        """Re-propagate the forward cones of ``changed`` instances.
+        """Re-sweep after edits to ``changed`` instances; charge their cone.
 
         ``changed`` names instances whose cell was swapped
         (``replace_cell``) or that were newly spliced in
-        (``insert_buffer``).  Returns the number of nodes recomputed;
-        the corresponding ops are charged to the next ``report()``.
-        Propagation of a cone stops at nodes whose recomputed
-        ``(arrival, slew)`` state is bitwise unchanged.
+        (``insert_buffer``).  The state is re-swept with the full
+        kernel, but the ops charged to the next ``report()`` are those
+        of the dirty cone: the invalidation-rule seeds plus every
+        combinational sink of a net whose ``(arrival, slew,
+        arrival_min)`` state changed.  Returns the number of nodes in
+        that cone.
         """
         if not self._propagated:
             raise RuntimeError("full_propagate() must run before update()")
         netlist = self.netlist
-        names = sorted(set(changed))
-        new_names = [n for n in names if n not in self._known]
-        if new_names:
-            self._levelize_new(new_names)
+        clock = netlist.clock_net
+        instances = netlist.instances
 
-        # dirty sets as insertion-ordered dicts (deterministic iteration)
-        dirty_nets: Dict[str, None] = {}
-        dirty_seq: Dict[str, None] = {}
-        dirty_comb: Dict[str, None] = {}
+        def comb_sinks(net_name: str) -> Iterator[str]:
+            for sink_name, _ in netlist.nets[net_name].sinks:
+                if not instances[sink_name].cell.is_sequential:
+                    yield sink_name
 
-        def mark(inst_name: str) -> None:
-            if netlist.instances[inst_name].cell.is_sequential:
-                dirty_seq[inst_name] = None
-            else:
-                dirty_comb[inst_name] = None
-
-        for name in names:
-            inst = netlist.instances[name]
-            mark(name)
+        cone = set()
+        for name in sorted(set(changed)):
+            inst = instances[name]
+            cone.add(name)
+            inputs = [n for n in inst.input_nets if n != clock]
             if name in self._known:
                 # cell swap: input caps changed -> predecessor loads change
-                for net_name in inst.input_nets:
-                    if net_name == netlist.clock_net:
-                        continue
-                    dirty_nets[net_name] = None
-                    driver = netlist.nets[net_name].driver
-                    if driver is not None:
-                        mark(driver)
+                touched = inputs
             else:
                 # splice: connected nets change length *and* load, which
                 # moves every sink's input wire delay
-                touched = [
-                    n for n in inst.input_nets if n != netlist.clock_net
-                ] + [inst.output_net]
+                touched = inputs + [inst.output_net]
                 for net_name in touched:
-                    self.topology.net_len[net_name] = self.placement.net_length(net_name)
-                    dirty_nets[net_name] = None
-                    net = netlist.nets[net_name]
-                    if net.driver is not None:
-                        mark(net.driver)
-                    for sink_name, _ in net.sinks:
-                        if not netlist.instances[sink_name].cell.is_sequential:
-                            mark(sink_name)
-                self._known.add(name)
-                # keep the full-run cost model current: a from-scratch
-                # propagation now also visits this instance
-                if inst.cell.is_sequential:
-                    self._full_ops += 1
-                else:
-                    self._full_ops += sum(
-                        1 for n in inst.input_nets if n != netlist.clock_net
-                    )
-                    if self.check_hold:
-                        self._full_ops += 1
+                    cone.update(comb_sinks(net_name))
+            for net_name in touched:
+                driver = netlist.nets[net_name].driver
+                if driver is not None:
+                    cone.add(driver)
 
-        for net_name in dirty_nets:
-            self._net_load[net_name] = self._net_load_of(net_name)
+        before = (self._arrival, self._slew, self._arrival_min)
+        self._propagate()
+        after = (self._arrival, self._slew, self._arrival_min)
+        net_changed = np.logical_or.reduce(
+            [new.changed_since(old) for old, new in zip(before, after)]
+        )
+        names = self.topology.net_index.names
+        for row in np.flatnonzero(net_changed):
+            cone.update(comb_sinks(names[row]))
 
-        level = self.topology.level
         ops = 0
-        nodes = 0
-        heap: List[Tuple[int, str]] = []
-        scheduled = set()
-        processed = set()
-
-        def schedule(inst_name: str) -> None:
-            if inst_name in scheduled or inst_name in processed:
-                return
-            scheduled.add(inst_name)
-            heapq.heappush(heap, (level[inst_name], inst_name))
-
-        def fanout_changed(out_net: str) -> None:
-            for sink_name, _ in netlist.nets[out_net].sinks:
-                if not netlist.instances[sink_name].cell.is_sequential:
-                    schedule(sink_name)
-
-        for name in dirty_seq:
-            inst = netlist.instances[name]
-            before = self._node_state(inst.output_net)
-            ops += self._compute_seq(inst)
-            if self.check_hold:
-                self._compute_seq_min(inst)
-            nodes += 1
-            if self._node_state(inst.output_net) != before:
-                fanout_changed(inst.output_net)
-
-        for name in dirty_comb:
-            schedule(name)
-        while heap:
-            _, name = heapq.heappop(heap)
-            scheduled.discard(name)
-            processed.add(name)
-            inst = netlist.instances[name]
-            before = self._node_state(inst.output_net)
-            ops += self._compute_comb(inst)
-            if self.check_hold:
-                ops += self._compute_comb_min(inst)
-            nodes += 1
-            if self._node_state(inst.output_net) != before:
-                fanout_changed(inst.output_net)
-
+        for name in cone:
+            inst = instances[name]
+            if inst.cell.is_sequential:
+                ops += 1
+            else:
+                ops += sum(1 for n in inst.input_nets if n != clock)
+                if self.check_hold:
+                    ops += 1
         self._ops_pending += ops
         self.stats.incremental_updates += 1
-        self.stats.nodes_propagated += nodes
-        return nodes
+        self.stats.nodes_propagated += len(cone)
+        return len(cone)
 
     # ------------------------------------------------------------------
     def report(self, clock_period: float) -> TimingReport:

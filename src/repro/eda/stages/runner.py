@@ -98,7 +98,7 @@ class StageReport:
     executed_proxy: float = 0.0
     #: timing-kernel accounting for the executed suffix (see
     #: repro.eda.sta.graph.StaStats): full propagations, incremental
-    #: updates, nodes re-propagated, and the proxy the incremental
+    #: updates, dirty-cone nodes charged, and the proxy the incremental
     #: path avoided versus full re-analysis per query
     sta_full: int = 0
     sta_incremental: int = 0

@@ -73,8 +73,8 @@ VOCABULARY: Dict[str, tuple] = {
     # queried (full propagations vs. dirty-cone updates) and the proxy
     # the incremental path avoided paying
     "sta.full": ("count", "full timing-graph propagations run by the job"),
-    "sta.incremental.updates": ("count", "incremental dirty-cone timing updates"),
-    "sta.incremental.nodes": ("count", "graph nodes re-propagated by incremental updates"),
+    "sta.incremental.updates": ("count", "timing updates after edits (each re-sweeps the graph and charges its dirty cone)"),
+    "sta.incremental.nodes": ("count", "graph nodes in the dirty cones those updates charged"),
     "sta.incremental.proxy_saved": ("work", "timing proxy avoided vs. full re-analysis per query"),
     # online-kill events: with a kill policy wired into the executor's
     # stop-callback path, each job reports whether it was terminated

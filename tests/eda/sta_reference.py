@@ -1,5 +1,5 @@
 """Frozen copy of the pre-refactor monolithic STA engines and optimizer
-(the golden reference for the incremental-kernel equivalence tests).
+(the golden reference for the timing-kernel equivalence tests).
 
 This is the literal ``repro.eda.timing`` module (plus the literal
 ``TimingOptimizer.optimize``/``fix_hold`` loop bodies from
@@ -7,7 +7,9 @@ This is the literal ``repro.eda.timing`` module (plus the literal
 refactor, kept verbatim — same float expressions, same ops accounting,
 same report construction order — so the equivalence suite compares the
 new kernel against the historical behavior rather than against the
-code under test.  Not a test module — no ``test_`` prefix, so pytest
+code under test.  The module ends with the scalar per-node
+``TimingGraph`` loop (:func:`propagate_scalar`), frozen when the
+vectorized kernel became the only one in ``src/``.  Not a test module — no ``test_`` prefix, so pytest
 does not collect it.
 
 Original module docstring:
@@ -708,3 +710,215 @@ class ReferenceTimingOptimizer:
                 changed = True
         return changed
 
+
+
+class MeteredSTA:
+    """Wraps a frozen engine and sums the ``runtime_proxy`` of every
+    report it returns: the timing cost of the full-reanalysis loop that
+    :class:`ReferenceTimingOptimizer` drives through ``analyze``."""
+
+    def __init__(self, engine: _BaseSTA):
+        self.engine = engine
+        self.proxy = 0.0
+        self.analyses = 0
+
+    def analyze(self, *args, **kwargs) -> TimingReport:
+        report = self.engine.analyze(*args, **kwargs)
+        self.proxy += report.runtime_proxy
+        self.analyses += 1
+        return report
+
+
+# ----------------------------------------------------------------------
+# Frozen copy of the scalar ``TimingGraph`` propagation loop
+# (``TimingGraph._propagate_scalar`` and the per-node methods it calls,
+# as they stood in ``repro.eda.sta.graph`` next to the vectorized
+# kernel), verbatim over plain dicts.  It is the like-for-like oracle
+# and wall-clock baseline of the live struct-of-arrays kernel: same
+# delay policy, same topology, same float expressions per node.
+
+from repro.eda.grid import bin_index  # noqa: E402
+
+
+class ScalarTimingState:
+    """Per-net propagation state of one scalar run, in plain dicts.
+
+    Built from a live ``TimingGraph``'s inputs (netlist, placement,
+    policy, skews, congestion, hold flag and topology); ``ops`` is the
+    propagation op count the scalar loop charged.
+    """
+
+    def __init__(self, graph):
+        self.netlist = graph.netlist
+        self.placement = graph.placement
+        self.policy = graph.policy
+        self.skews = graph.skews
+        self.congestion = graph.congestion
+        self.check_hold = graph.check_hold
+        self.topology = graph.topology
+        self._net_load: Dict[str, float] = {}
+        self._arrival: Dict[str, float] = {}
+        self._slew: Dict[str, float] = {}
+        self._pred: Dict[str, Optional[str]] = {}
+        self._arrival_min: Dict[str, float] = {}
+        self.ops = 0
+
+    def _congestion_at(self, net_name: str) -> float:
+        if self.congestion is None:
+            return 0.0
+        ny, nx = self.congestion.shape
+        placement = self.placement
+        fp = placement.floorplan
+        net = placement.netlist.nets.get(net_name)
+        if net is None or net.driver is None:
+            return 0.0
+        x, y = placement.positions[net.driver]
+        i = bin_index(x, fp.width, nx)
+        j = bin_index(y, fp.height, ny)
+        return float(self.congestion[j, i])
+
+    def _net_load_of(self, net_name: str) -> float:
+        netlist = self.netlist
+        net = netlist.nets[net_name]
+        load = sum(netlist.instances[s].cell.input_cap for s, _ in net.sinks)
+        if net_name in netlist.primary_outputs:
+            load += PO_LOAD
+        load += (
+            netlist.library.wire_c_per_um
+            * self.topology.net_len[net_name]
+            * self.policy.corner.wire_factor
+        )
+        return load
+
+    def _compute_seq(self, inst) -> int:
+        policy = self.policy
+        out = inst.output_net
+        launch = self.skews.get(inst.name, 0.0)
+        q_delay = DFF_CLK_TO_Q * policy.corner.delay_factor * policy.stage_derate()
+        load = self._net_load.get(out, 0.0)
+        cell = inst.cell
+        self._arrival[out] = (
+            launch + q_delay + cell.drive_resistance * load * policy.corner.delay_factor
+        )
+        self._slew[out] = cell.output_slew(load)
+        self._pred[out] = None
+        return 1
+
+    def _compute_comb(self, inst) -> int:
+        policy = self.policy
+        netlist = self.netlist
+        lib = netlist.library
+        net_len = self.topology.net_len
+        out = inst.output_net
+        load = self._net_load.get(out, 0.0)
+        cell = inst.cell
+        best_arr = -np.inf
+        best_net = None
+        in_slews = []
+        ops = 0
+        for net_name in inst.input_nets:
+            if net_name == netlist.clock_net:
+                continue
+            a_in = self._arrival.get(net_name, 0.0)
+            s_in = self._slew.get(net_name, PI_SLEW)
+            in_slews.append(s_in)
+            w_delay = policy.wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
+            w_delay += policy.si_bump(
+                net_len.get(net_name, 0.0), self._congestion_at(net_name)
+            )
+            cand = a_in + w_delay
+            ops += 1
+            if cand > best_arr:
+                best_arr = cand
+                best_net = net_name
+        s_in = policy.merge_slew(in_slews) if in_slews else PI_SLEW
+        gate_delay = cell.delay(load, s_in) * policy.corner.delay_factor * policy.stage_derate()
+        self._arrival[out] = best_arr + gate_delay
+        self._slew[out] = cell.output_slew(load)
+        self._pred[out] = best_net
+        return ops
+
+    def _compute_seq_min(self, inst) -> None:
+        policy = self.policy
+        out = inst.output_net
+        launch = self.skews.get(inst.name, 0.0)
+        load = self._net_load.get(out, 0.0)
+        self._arrival_min[out] = (
+            launch
+            + (DFF_CLK_TO_Q + inst.cell.drive_resistance * load)
+            * policy.corner.delay_factor
+            * policy.early_derate()
+        )
+
+    def _compute_comb_min(self, inst) -> int:
+        policy = self.policy
+        netlist = self.netlist
+        lib = netlist.library
+        net_len = self.topology.net_len
+        early = policy.early_derate()
+        out = inst.output_net
+        load = self._net_load.get(out, 0.0)
+        cell = inst.cell
+        fastest = np.inf
+        for net_name in inst.input_nets:
+            if net_name == netlist.clock_net:
+                continue
+            a_in = self._arrival_min.get(net_name, 0.0)
+            w_delay = policy.wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
+            fastest = min(fastest, a_in + w_delay * early)
+        if np.isinf(fastest):
+            fastest = 0.0
+        gate_delay = cell.delay(load, PI_SLEW) * policy.corner.delay_factor * early
+        self._arrival_min[out] = fastest + gate_delay
+        return 1
+
+    def _propagate_scalar(self) -> int:
+        """The historical per-node propagation loop (reference path)."""
+        netlist = self.netlist
+        topo = self.topology
+        ops = 0
+
+        self._net_load = {}
+        for net_name in netlist.nets:
+            if net_name == netlist.clock_net:
+                continue
+            self._net_load[net_name] = self._net_load_of(net_name)
+
+        self._arrival = {}
+        self._slew = {}
+        self._pred = {}
+        self._arrival_min = {}
+        for pi in netlist.primary_inputs:
+            if pi == netlist.clock_net:
+                continue
+            self._arrival[pi] = 0.0
+            self._slew[pi] = PI_SLEW
+            self._pred[pi] = None
+        for inst in netlist.sequential_instances():
+            ops += self._compute_seq(inst)
+        for name in topo.order:
+            ops += self._compute_comb(netlist.instances[name])
+
+        if self.check_hold:
+            for pi in netlist.primary_inputs:
+                if pi != netlist.clock_net:
+                    self._arrival_min[pi] = 0.0
+            for inst in netlist.sequential_instances():
+                self._compute_seq_min(inst)
+            for name in topo.order:
+                ops += self._compute_comb_min(netlist.instances[name])
+
+        return ops
+
+
+def propagate_scalar(graph) -> ScalarTimingState:
+    """Run the frozen scalar loop on a live ``TimingGraph``'s inputs.
+
+    Rebuilds the graph's topology first if the netlist structure moved,
+    as ``full_propagate`` does; the live graph's own state is untouched.
+    """
+    if graph.topology.stale:
+        graph.topology.rebuild()
+    state = ScalarTimingState(graph)
+    state.ops = state._propagate_scalar()
+    return state

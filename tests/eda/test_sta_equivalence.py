@@ -4,7 +4,8 @@ The kernel rewrite (TimingGraph + delay policies + thin engine drivers)
 must be *bit-identical* to the pre-refactor monolithic engines — same
 floats, same endpoint order, same runtime proxy, same optimizer
 decisions — enforced here against ``tests/eda/sta_reference.py``, a
-verbatim copy of the old ``repro.eda.timing``/``repro.eda.opt`` code.
+verbatim copy of the old ``repro.eda.timing``/``repro.eda.opt`` code
+and of the scalar per-node ``TimingGraph`` loop.
 """
 
 import copy
@@ -108,7 +109,7 @@ def test_fresh_equivalence_without_skew_or_congestion(small_netlist, small_place
     assert_reports_identical(got, want)
 
 
-# ------------------------------------------ vectorized vs scalar kernel
+# ------------------------------------- vectorized vs frozen scalar kernel
 def assert_graph_states_identical(vec, scalar):
     """Every propagated state map agrees key-for-key, bit-for-bit."""
     for attr in ("_arrival", "_arrival_min", "_slew", "_pred"):
@@ -123,23 +124,17 @@ def test_vectorized_graph_kernel_matches_scalar_and_reference(
     small_netlist, small_placement, small_congestion, skews, corner, check_hold
 ):
     new_corner, ref_corner = CORNERS[corner]
-    engine = GraphSTA(new_corner)
-    graphs = {}
-    for vectorize in (True, False):
-        g = engine.build_graph(
-            small_netlist, small_placement, skews=skews,
-            congestion=small_congestion, check_hold=check_hold,
-            vectorize=vectorize,
-        )
-        g.full_propagate()
-        graphs[vectorize] = g
-    assert_graph_states_identical(graphs[True], graphs[False])
+    g = GraphSTA(new_corner).build_graph(
+        small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=check_hold,
+    )
+    g.full_propagate()
+    assert_graph_states_identical(g, ref.propagate_scalar(g))
     want = ref.GraphSTA(ref_corner).analyze(
         small_netlist, small_placement, 1100.0, skews, small_congestion,
         check_hold=check_hold,
     )
-    assert_reports_identical(graphs[True].report(1100.0), want)
-    assert_reports_identical(graphs[False].report(1100.0), want)
+    assert_reports_identical(g.report(1100.0), want)
 
 
 @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -149,42 +144,29 @@ def test_vectorized_signoff_kernel_matches_scalar_and_reference(
     small_netlist, small_placement, small_congestion, skews, corner, pba, check_hold
 ):
     new_corner, ref_corner = CORNERS[corner]
-    engine = SignoffSTA(new_corner, pba=pba)
-    graphs = {}
-    for vectorize in (True, False):
-        g = engine.build_graph(
-            small_netlist, small_placement, skews=skews,
-            congestion=small_congestion, check_hold=check_hold,
-            vectorize=vectorize,
-        )
-        g.full_propagate()
-        graphs[vectorize] = g
-    assert_graph_states_identical(graphs[True], graphs[False])
+    g = SignoffSTA(new_corner, pba=pba).build_graph(
+        small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=check_hold,
+    )
+    g.full_propagate()
+    assert_graph_states_identical(g, ref.propagate_scalar(g))
     want = ref.SignoffSTA(ref_corner, pba=pba).analyze(
         small_netlist, small_placement, 1100.0, skews, small_congestion,
         check_hold=check_hold,
     )
-    assert_reports_identical(graphs[True].report(1100.0), want)
-    assert_reports_identical(graphs[False].report(1100.0), want)
+    assert_reports_identical(g.report(1100.0), want)
 
 
 def test_vectorized_kernel_charges_identical_proxy(
     small_netlist, small_placement, small_congestion, skews
 ):
-    """The SoA kernel counts the same ops as the scalar loop — the
-    runtime-proxy cost model must not notice the implementation."""
-    engine = SignoffSTA(SLOW)
-    stats = {}
-    for vectorize in (True, False):
-        g = engine.build_graph(
-            small_netlist, small_placement, skews=skews,
-            congestion=small_congestion, check_hold=True, vectorize=vectorize,
-        )
-        g.full_propagate()
-        g.report(1100.0)
-        stats[vectorize] = g.stats
-    assert stats[True].proxy_executed == stats[False].proxy_executed
-    assert stats[True].proxy_full_equivalent == stats[False].proxy_full_equivalent
+    """The SoA kernel counts the same ops as the frozen scalar loop —
+    the runtime-proxy cost model must not notice the implementation."""
+    g = SignoffSTA(SLOW).build_graph(
+        small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=True,
+    )
+    assert g.full_propagate() == ref.propagate_scalar(g).ops
 
 
 # ----------------------------------------------------------- optimizer loop
@@ -201,7 +183,6 @@ def test_incremental_optimizer_matches_reference(
 
     live = TimingOptimizer(guardband=guardband).optimize(
         nl_a, pl_a, period, GraphSTA(), skews, small_congestion, seed,
-        incremental=True,
     )
     golden = ref.ReferenceTimingOptimizer(guardband=guardband).optimize(
         nl_b, pl_b, period, ref.GraphSTA(), skews, small_congestion, seed,
@@ -239,7 +220,7 @@ def test_incremental_optimizer_saves_proxy(
 ):
     nl, pl = copy.deepcopy((small_netlist, small_placement))
     result = TimingOptimizer().optimize(
-        nl, pl, 600.0, GraphSTA(), skews, small_congestion, 0, incremental=True
+        nl, pl, 600.0, GraphSTA(), skews, small_congestion, 0
     )
     stats = result.sta_stats
     assert stats is not None
@@ -250,28 +231,32 @@ def test_incremental_optimizer_saves_proxy(
     assert stats.proxy_executed < stats.proxy_full_equivalent
 
 
-def test_non_incremental_optimizer_matches_reference_and_charges_full(
+def test_full_equivalent_proxy_matches_reference_loop(
     small_netlist, small_placement, small_congestion, skews
 ):
+    """``proxy_full_equivalent`` is what re-running full STA every pass
+    would have cost: exactly the summed proxy of the frozen
+    full-reanalysis loop's reports, at identical decisions."""
     nl_a, pl_a = copy.deepcopy((small_netlist, small_placement))
     nl_b, pl_b = copy.deepcopy((small_netlist, small_placement))
     live = TimingOptimizer().optimize(
-        nl_a, pl_a, 600.0, GraphSTA(), skews, small_congestion, 0, incremental=False
+        nl_a, pl_a, 600.0, GraphSTA(), skews, small_congestion, 0
     )
+    metered = ref.MeteredSTA(ref.GraphSTA())
     golden = ref.ReferenceTimingOptimizer().optimize(
-        nl_b, pl_b, 600.0, ref.GraphSTA(), skews, small_congestion, 0
+        nl_b, pl_b, 600.0, metered, skews, small_congestion, 0
     )
     assert live.history == golden.history
-    assert_reports_identical(live.final_report, golden.final_report)
-    assert live.sta_stats.incremental_updates == 0
-    assert live.sta_stats.proxy_saved == 0.0
+    assert metered.analyses == len(golden.history) > 1
+    assert live.sta_stats.proxy_full_equivalent == metered.proxy
+    assert live.sta_stats.proxy_executed < metered.proxy
 
 
 def test_fix_hold_matches_reference(library):
     nl_a, pl_a, skews_a = _skewed_setup(library)
     nl_b, pl_b, skews_b = _skewed_setup(library)
     inserted = TimingOptimizer().fix_hold(
-        nl_a, pl_a, 1500.0, GraphSTA(), skews=skews_a, incremental=True
+        nl_a, pl_a, 1500.0, GraphSTA(), skews=skews_a
     )
     golden = ref.ReferenceTimingOptimizer().fix_hold(
         nl_b, pl_b, 1500.0, ref.GraphSTA(), skews=skews_b

@@ -31,7 +31,11 @@ from repro.eda.sta import (
     TimingTopology,
 )
 from repro.eda.synthesis import DesignSpec, synthesize
-from tests.eda.test_sta_equivalence import assert_reports_identical
+from tests.eda import sta_reference as ref
+from tests.eda.test_sta_equivalence import (
+    assert_graph_states_identical,
+    assert_reports_identical,
+)
 
 CLOCK = 1100.0
 
@@ -108,9 +112,9 @@ def test_random_edit_walk_matches_full_propagate(
 ])
 @pytest.mark.parametrize("edit_seed", [1, 13])
 def test_edit_walk_vectorized_tracks_scalar_kernel(engine_cls, corner, edit_seed):
-    """Two live kernels — SoA and scalar — walk the same random edit
-    sequence; after every update both report bit-identically to each
-    other and to a from-scratch scalar analysis."""
+    """The live kernel walks a random edit sequence; after every update
+    its state maps equal a from-scratch run of the frozen scalar loop
+    and it reports bit-identically to a from-scratch analysis."""
     nl, pl = _fresh_design(90, 12, 8, 61)
     rng = np.random.default_rng(edit_seed)
     skews = {
@@ -118,49 +122,100 @@ def test_edit_walk_vectorized_tracks_scalar_kernel(engine_cls, corner, edit_seed
         for inst in nl.sequential_instances()
     }
     engine = engine_cls(corner)
-    vec = engine.build_graph(nl, pl, skews=skews, check_hold=True,
-                             vectorize=True)
-    scalar = engine.build_graph(nl, pl, skews=skews, check_hold=True,
-                                vectorize=False)
-    vec.full_propagate()
-    scalar.full_propagate()
-    vec.report(CLOCK)  # drain the full-propagate ops
-    scalar.report(CLOCK)
+    graph = engine.build_graph(nl, pl, skews=skews, check_hold=True)
+    graph.full_propagate()
+    graph.report(CLOCK)  # drain the full-propagate ops
     for step in range(8):
         touched = [_random_swap(nl, rng)]
-        vec.update(touched)
-        scalar.update(touched)
-        r_vec = vec.report(CLOCK)
-        r_scalar = scalar.report(CLOCK)
-        assert_reports_identical(r_vec, r_scalar)
+        graph.update(touched)
+        assert_graph_states_identical(graph, ref.propagate_scalar(graph))
         scratch = engine.analyze(nl, pl, CLOCK, skews, check_hold=True)
-        assert_reports_identical(r_vec, scratch, compare_proxy=False)
+        assert_reports_identical(graph.report(CLOCK), scratch,
+                                 compare_proxy=False)
 
 
 def test_buffer_splice_vectorized_tracks_scalar_kernel():
-    """Structural edits (buffer splices) re-propagate through the
-    façade-backed state identically in both kernels — including nets
-    the splice makes newly present/absent."""
+    """Structural edits (buffer splices) re-propagate the array-backed
+    state exactly like the frozen scalar loop — including nets the
+    splice makes newly present."""
     nl, pl = _fresh_design(70, 10, 6, 34)
     buffer_cell = nl.library.pick("BUF", 1, "HVT")
     engine = SignoffSTA(SLOW)
-    vec = engine.build_graph(nl, pl, check_hold=True, vectorize=True)
-    scalar = engine.build_graph(nl, pl, check_hold=True, vectorize=False)
-    vec.full_propagate()
-    scalar.full_propagate()
-    vec.report(CLOCK)  # drain the full-propagate ops
-    scalar.report(CLOCK)
+    graph = engine.build_graph(nl, pl, check_hold=True)
+    graph.full_propagate()
+    graph.report(CLOCK)  # drain the full-propagate ops
     flops = [i.name for i in nl.sequential_instances()][:4]
     for k, flop_name in enumerate(flops):
         d_net = nl.instances[flop_name].input_nets[0]
         buf = nl.insert_buffer(f"vsplice_{k}", buffer_cell, d_net, flop_name, 0)
         pl.positions[buf.name] = pl.positions[flop_name]
-        vec.update([buf.name])
-        scalar.update([buf.name])
-        assert_reports_identical(vec.report(CLOCK), scalar.report(CLOCK))
+        graph.update([buf.name])
+        assert_graph_states_identical(graph, ref.propagate_scalar(graph))
         scratch = engine.analyze(nl, pl, CLOCK, check_hold=True)
-        assert_reports_identical(vec.report(CLOCK), scratch,
+        assert_reports_identical(graph.report(CLOCK), scratch,
                                  compare_proxy=False)
+
+
+# Per-call update() returns and final StaStats of seeded swap+splice
+# walks, recorded when update() still walked the dirty cone with a
+# scalar worklist: the cone charge must not notice the implementation.
+# key: (engine, design seed, check_hold) -> (returns, full_propagates,
+# incremental_updates, nodes_propagated, proxy_executed,
+# proxy_full_equivalent)
+PINNED_WALKS = {
+    ("graph", 55, False): ([38, 2, 16, 10, 4, 33, 7, 2, 4, 7], 1, 10, 123, 777.0, 2339.0),
+    ("graph", 55, True): ([38, 2, 22, 10, 4, 36, 7, 2, 4, 8], 1, 10, 133, 1005.0, 3292.0),
+    ("graph", 21, False): ([2, 2, 6, 13, 2, 20, 5, 2, 6, 13], 1, 10, 71, 717.0, 2636.0),
+    ("graph", 21, True): ([2, 2, 6, 13, 2, 29, 6, 2, 6, 13], 1, 10, 81, 912.0, 3699.0),
+    ("graph", 34, False): ([13, 2, 6, 8, 4, 13, 2, 5, 6, 13], 1, 10, 72, 671.0, 2240.0),
+    ("graph", 34, True): ([13, 2, 6, 8, 4, 13, 2, 5, 6, 13], 1, 10, 72, 811.0, 3072.0),
+    ("signoff", 55, False): ([10, 2, 3, 16, 4, 7, 4, 2, 11, 7], 1, 10, 66,
+                             7160.400000000001, 25261.200000000004),
+    ("signoff", 55, True): ([13, 2, 3, 16, 4, 7, 4, 2, 11, 7], 1, 10, 69,
+                            8866.800000000001, 35553.6),
+    ("signoff", 21, False): ([5, 2, 46, 22, 2, 7, 21, 2, 6, 14], 1, 10, 127,
+                             9104.4, 28468.8),
+    ("signoff", 21, True): ([5, 2, 46, 22, 2, 7, 21, 2, 6, 14], 1, 10, 127,
+                            11469.599999999999, 39949.19999999999),
+    ("signoff", 34, False): ([6, 2, 20, 12, 4, 24, 11, 5, 6, 20], 1, 10, 110,
+                             8175.599999999999, 24192.0),
+    ("signoff", 34, True): ([6, 2, 20, 12, 4, 24, 11, 5, 6, 20], 1, 10, 110,
+                            10119.6, 33177.6),
+}
+_WALK_DESIGNS = {55: (80, 10, 7, 55), 21: (90, 12, 8, 21), 34: (70, 10, 6, 34)}
+
+
+@pytest.mark.parametrize("engine_name,design_seed,check_hold", sorted(PINNED_WALKS))
+def test_update_accounting_is_pinned(engine_name, design_seed, check_hold):
+    nl, pl = _fresh_design(*_WALK_DESIGNS[design_seed])
+    rng = np.random.default_rng(design_seed)
+    skews = {i.name: float(rng.normal(0.0, 3.0)) for i in nl.sequential_instances()}
+    buffer_cell = nl.library.pick("BUF", 1, "HVT")
+    if engine_name == "graph":
+        engine, congestion = GraphSTA(TYPICAL), None
+    else:
+        engine, congestion = SignoffSTA(SLOW), rng.random((8, 8))
+    graph = engine.build_graph(nl, pl, skews=skews, congestion=congestion,
+                               check_hold=check_hold)
+    graph.full_propagate()
+    graph.report(CLOCK)
+    flops = [i.name for i in nl.sequential_instances()]
+    returns = []
+    for step in range(10):
+        if step % 3 == 1:
+            flop_name = flops[step % len(flops)]
+            d_net = nl.instances[flop_name].input_nets[0]
+            buf = nl.insert_buffer(f"w_{step}", buffer_cell, d_net, flop_name, 0)
+            pl.positions[buf.name] = pl.positions[flop_name]
+            touched = [buf.name]
+        else:
+            touched = [_random_swap(nl, rng) for _ in range(1 + step % 2)]
+        returns.append(graph.update(touched))
+        graph.report(CLOCK)
+    s = graph.stats
+    assert (returns, s.full_propagates, s.incremental_updates, s.nodes_propagated,
+            s.proxy_executed, s.proxy_full_equivalent) == PINNED_WALKS[
+                (engine_name, design_seed, check_hold)]
 
 
 def test_batched_edits_match_full_propagate(small_netlist, small_placement,
